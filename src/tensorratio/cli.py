@@ -7,6 +7,7 @@ deterministic for a fixed seed and flag set; timings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -25,7 +26,7 @@ from .harness import (
 
 def _cell(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
@@ -39,23 +40,30 @@ def _emit_json(obj, stream):
     stream.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument("--budget", type=int, default=None,
-                        help="samples / evaluations per case group (suite-specific default)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="iteration tolerance for the heuristic solvers")
-    common.add_argument("--out", choices=("json", "csv"), default=None,
-                        help="output format (command-specific default)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker count; execution is serial and output "
-                             "ordering is canonical either way")
-    common.add_argument("--starts", type=int, default=None,
-                        help="multistart count for the iterative solvers/searches")
-    common.add_argument("--max-iters", type=int, default=None,
-                        help="per-start iteration cap for the iterative solvers")
+_FLAGS = {
+    "--seed": dict(type=int, default=0, help="master seed (default 0)"),
+    "--budget": dict(type=int, default=None,
+                     help="samples / evaluations per case group (suite-specific default)"),
+    "--tol": dict(type=float, default=None,
+                  help="iteration tolerance for the heuristic solvers"),
+    "--out": dict(choices=("json", "csv"), default=None,
+                  help="output format (command-specific default)"),
+    "--starts": dict(type=int, default=None,
+                     help="multistart count for the iterative solvers/searches"),
+    "--max-iters": dict(type=int, default=None,
+                        help="per-start iteration cap for the iterative solvers"),
+}
 
+
+def _subparser(sub, name, flags, **kw):
+    """A subcommand that accepts exactly the shared flags it reads."""
+    p = sub.add_parser(name, **kw)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensorratio",
         description="Spectral-to-Frobenius norm ratios and best rank-one "
@@ -63,17 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="full ratio report for a tensor file or builtin")
+    p = _subparser(sub, "report", ("--seed", "--tol", "--starts", "--max-iters", "--out"),
+                   help="full ratio report for a tensor file or builtin")
     p.add_argument("input",
                    help="builtin (wd:<d> | ranktwo:<a>,<b>,<cos>,<d> | "
                         "border:<a>,<b>,<d>) or JSON tensor file")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a named verification suite (or 'all')")
+    p = _subparser(sub, "verify", ("--seed", "--budget", "--out"),
+                   help="run a named verification suite (or 'all')")
     p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}, all")
 
-    p = sub.add_parser("sweep", parents=[common], help="emit a parameter sweep as CSV")
+    p = _subparser(sub, "sweep", ("--out",), help="emit a parameter sweep as CSV")
     p.add_argument("kind", choices=("diff_t", "border_ab", "limit_d"))
     p.add_argument("--d", type=int, default=4, help="tensor order for diff_t/border_ab")
     p.add_argument("--steps", type=int, default=101)
@@ -81,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmin", type=int, default=3, help="limit_d first order")
     p.add_argument("--dmax", type=int, default=40, help="limit_d last order")
 
-    p = sub.add_parser("search", parents=[common],
-                       help="infimum search or counterexample sampling")
+    p = _subparser(sub, "search", ("--seed", "--budget", "--starts"),
+                   help="infimum search or counterexample sampling")
     p.add_argument("target", choices=("min-ratio-sym", "counterexample-nonsym"))
     p.add_argument("--d", type=int, default=3, help="tensor order")
     p.add_argument("--trace", default=None, metavar="PATH",
@@ -92,19 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _iter_config(args) -> IterConfig | None:
-    overrides = {}
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.starts is not None:
-        overrides["starts"] = args.starts
-    if getattr(args, "max_iters", None) is not None:
-        overrides["max_iters"] = args.max_iters
+    overrides = {
+        name: getattr(args, name)
+        for name in ("tol", "starts", "max_iters")
+        if getattr(args, name) is not None
+    }
     if not overrides:
         return None
-    base = IterConfig(seed=args.seed)
-    defaults = {"starts": base.starts, "max_iters": base.max_iters, "tol": base.tol}
-    defaults.update(overrides)
-    return IterConfig(seed=args.seed, **defaults)
+    return dataclasses.replace(IterConfig(seed=args.seed), **overrides)
 
 
 def _cmd_report(args) -> int:
@@ -154,7 +157,6 @@ def _cmd_search(args) -> int:
         starts=args.starts or 64,
         budget=args.budget or 10_000,
         seed=args.seed,
-        tol=args.tol or 1e-10,
     )
     if args.target == "min-ratio-sym":
         payload, trace = search_min_ratio(args.d, cfg, with_trace=True)
@@ -182,9 +184,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

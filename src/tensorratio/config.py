@@ -28,4 +28,3 @@ class SearchConfig:
     starts: int = 64
     budget: int = 10_000
     seed: int = 0
-    tol: float = 1e-10

@@ -29,11 +29,7 @@ from .ranktwo import (
     min_ratio_search,
     ratio_squared,
 )
-from .spectral import (
-    count_global_maximizers,
-    spectral_norm_binary,
-    spectral_norm_power,
-)
+from .spectral import count_global_maximizers, spectral_norm, spectral_norm_binary
 from .symtensor import SymTensor, frob_norm
 from .tensor3 import (
     Tensor3,
@@ -106,12 +102,8 @@ def report_for(obj, descriptor: str, cfg: IterConfig | None = None) -> RatioRepo
         fro = frob_norm(obj)
         if fro == 0.0:
             raise UsageError("zero tensor: report undefined")
-        if obj.dim == 2:
-            ms = spectral_norm_binary(obj)
-            method = "exact_binary"
-        else:
-            ms = spectral_norm_power(obj, cfg)
-            method = "power"
+        ms = spectral_norm(obj, cfg)
+        method = "exact_binary" if ms.is_exact else "power"
         value, maximizers = ms.value, list(ms.points)
     elif isinstance(obj, Tensor3):
         fro = obj.frob_norm()
@@ -243,18 +235,6 @@ def _sample_rank_two_stack(rng: np.random.Generator, m: int) -> np.ndarray:
 
     u1, u2, u3, v1, v2, v3 = (unit((m, 2)) for _ in range(6))
     return np.einsum("mi,mj,mk->mijk", u1, u2, u3) + np.einsum("mi,mj,mk->mijk", v1, v2, v3)
-
-
-def _sample_feasible_normal_forms(rng: np.random.Generator, m: int) -> np.ndarray:
-    out = np.empty((0, 4))
-    while out.shape[0] < m:
-        pts = rng.uniform(-1.0, 1.0, size=(2 * m, 4))
-        mask = (
-            np.einsum("ij,ij->i", pts, pts) + 2.0 * pts[:, 0] * pts[:, 1] * pts[:, 2]
-            <= 1.0
-        )
-        out = np.vstack([out, pts[mask]])
-    return out[:m]
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ from .rootfind import real_roots
 from .spectral import spectral_norm_binary, spectral_norm_binary_coeffs
 from .symtensor import (
     DegenerateSpanError,
-    Frame,
     GRAM_RTOL,
     SymTensor,
-    restrict_to_plane,
+    plane_frame,
     sym_outer,
     sym_rank_one,
 )
@@ -147,11 +146,15 @@ def canonical_params(alpha, beta, u, v, d: int) -> RankTwoParams:
     return RankTwoParams(alpha=alpha, beta=beta, u=u, v=v)
 
 
-def make_rank_two(p: RankTwoParams, d: int) -> SymTensor:
-    """The tensor alpha*u^d - beta*v^d; rejects dependent u, v (rank < 2)."""
+def _check_span(p: RankTwoParams):
     uv = float(p.u @ p.v)
     if 1.0 - uv * uv <= GRAM_RTOL:
         raise DegenerateSpanError("u and v are dependent; tensor has rank < 2")
+
+
+def make_rank_two(p: RankTwoParams, d: int) -> SymTensor:
+    """The tensor alpha*u^d - beta*v^d; rejects dependent u, v (rank < 2)."""
+    _check_span(p)
     return p.alpha * sym_rank_one(p.u, d) + (-p.beta) * sym_rank_one(p.v, d)
 
 
@@ -221,12 +224,6 @@ def _cos_gap_pow(theta: float, d: int) -> float:
     return _one_minus_pow_from_gap(2.0 * math.sin(theta / 2.0) ** 2, d)
 
 
-def _unit_gap_pow(u: np.ndarray, v: np.ndarray, d: int) -> float:
-    """1 - <u,v>^d for unit u, v, using 1 - <u,v> = ||u - v||^2 / 2 exactly."""
-    diff = u - v
-    return _one_minus_pow_from_gap(0.5 * float(diff @ diff), d)
-
-
 def _pair_frob_sq(alpha: float, beta: float, one_minus_cd: float) -> float:
     """||alpha u^d - beta v^d||_F^2 = (alpha-beta)^2 + 2 alpha beta (1 - <u,v>^d)."""
     return (alpha - beta) ** 2 + 2.0 * alpha * beta * one_minus_cd
@@ -246,20 +243,64 @@ def _family_coeffs(alpha: float, beta: float, theta: float, d: int, one_minus_cd
     return coeffs
 
 
-def _solve_params(p: RankTwoParams, d: int):
-    """Binary maximizer set of the tensor of p, plus a lifting frame."""
-    A = make_rank_two(p, d)
-    if A.dim == 2:
-        frame = Frame(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        return A, spectral_norm_binary(A), frame
-    B, frame = restrict_to_plane(A, p.u, p.v)
-    return A, spectral_norm_binary(B), frame
+def _chart(alpha: float, beta: float, theta: float, d: int):
+    """Maximizer set, 1 - cos^d and squared Frobenius norm of alpha*e1^d - beta*v^d.
+
+    v = (cos theta, sin theta).  Every rank-two ratio goes through this chart;
+    plane_frame(u, v) maps its axes onto u and Gram-Schmidt(v) in any dimension.
+    """
+    one_minus_cd = _cos_gap_pow(theta, d)
+    ms = spectral_norm_binary_coeffs(_family_coeffs(alpha, beta, theta, d, one_minus_cd))
+    return ms, one_minus_cd, _pair_frob_sq(alpha, beta, one_minus_cd)
+
+
+def _chart_of(p: RankTwoParams, d: int):
+    """_chart at the angle between p.u and p.v; rejects dependent u, v."""
+    _check_span(p)
+    # 2 asin(||u - v|| / 2) keeps the angle accurate where acos(<u, v>) loses it.
+    theta = 2.0 * math.asin(float(np.linalg.norm(p.u - p.v)) / 2.0)
+    return _chart(p.alpha, p.beta, theta, d)
+
+
+def _grad_core(alpha, beta, u, v, chart, d: int, lift=np.asarray, with_u: bool = True):
+    """Unprojected gradient (d_alpha, d_beta, g_u, g_v) of the squared ratio.
+
+    chart is _chart's output for alpha*u^d - beta*v^d and lift maps its
+    maximizer onto u, v's space; g_u is None unless with_u.  Requires a unique global maximizer w (the
+    spectral norm is then smooth, with the normalized best rank-one tensor as
+    derivative); raises NondifferentiablePointError otherwise.
+    """
+    ms, one_minus_cd, fro_sq = chart
+    if len(ms.points) != 1:
+        raise NondifferentiablePointError(
+            f"{len(ms.points)} global maximizers; the ratio is not differentiable here"
+        )
+    w = lift(ms.points[0])
+    uv = float(u @ v)
+    wu = float(w @ u)
+    wv = float(w @ v)
+    lam = alpha * wu**d - beta * wv**d
+    sgn = 1.0 if lam >= 0.0 else -1.0
+    sigma = ms.value
+    scale = 2.0 * sigma / fro_sq**2
+
+    p_at_u = (alpha - beta) + beta * one_minus_cd
+    p_at_v = (alpha - beta) - alpha * one_minus_cd
+    grad_at_v = d * (alpha * uv ** (d - 1) * u - beta * v)
+
+    d_alpha = scale * (sgn * fro_sq * wu**d - sigma * p_at_u)
+    d_beta = -scale * (sgn * fro_sq * wv**d - sigma * p_at_v)
+    g_v = -scale * beta * (sgn * fro_sq * d * wv ** (d - 1) * w - sigma * grad_at_v)
+    g_u = None
+    if with_u:
+        grad_at_u = d * (alpha * u - beta * uv ** (d - 1) * v)
+        g_u = scale * alpha * (sgn * fro_sq * d * wu ** (d - 1) * w - sigma * grad_at_u)
+    return d_alpha, d_beta, g_u, g_v
 
 
 def ratio_squared(p: RankTwoParams, d: int) -> float:
     """Squared spectral-to-Frobenius ratio of alpha*u^d - beta*v^d."""
-    _, ms, _ = _solve_params(p, d)
-    fro_sq = _pair_frob_sq(p.alpha, p.beta, _unit_gap_pow(p.u, p.v, d))
+    ms, _, fro_sq = _chart_of(p, d)
     return ms.value**2 / fro_sq
 
 
@@ -287,36 +328,13 @@ class RatioGrad:
 def ratio_squared_grad(p: RankTwoParams, d: int) -> RatioGrad:
     """Exact gradient of the squared ratio in the differentiable case.
 
-    Requires a unique global maximizer (the spectral norm is then smooth, and
-    its derivative is the normalized best rank-one tensor); raises
-    NondifferentiablePointError otherwise.
+    Requires a unique global maximizer; raises NondifferentiablePointError
+    otherwise.
     """
-    _, ms, frame = _solve_params(p, d)
-    if len(ms.points) != 1:
-        raise NondifferentiablePointError(
-            f"{len(ms.points)} global maximizers; the ratio is not differentiable here"
-        )
-    w = frame.lift(ms.points[0])
-    alpha, beta, u, v = p.alpha, p.beta, p.u, p.v
-    uv = float(u @ v)
-    wu = float(w @ u)
-    wv = float(w @ v)
-    lam = alpha * wu**d - beta * wv**d
-    sgn = 1.0 if lam >= 0.0 else -1.0
-    sigma = ms.value
-    one_minus_cd = _unit_gap_pow(u, v, d)
-    fro_sq = _pair_frob_sq(alpha, beta, one_minus_cd)
-    scale = 2.0 * sigma / fro_sq**2
-
-    p_at_u = (alpha - beta) + beta * one_minus_cd
-    p_at_v = (alpha - beta) - alpha * one_minus_cd
-    grad_at_u = d * (alpha * u - beta * uv ** (d - 1) * v)
-    grad_at_v = d * (alpha * uv ** (d - 1) * u - beta * v)
-
-    d_alpha = scale * (sgn * fro_sq * wu**d - sigma * p_at_u)
-    d_beta = -scale * (sgn * fro_sq * wv**d - sigma * p_at_v)
-    g_u = scale * alpha * (sgn * fro_sq * d * wu ** (d - 1) * w - sigma * grad_at_u)
-    g_v = -scale * beta * (sgn * fro_sq * d * wv ** (d - 1) * w - sigma * grad_at_v)
+    u, v = p.u, p.v
+    d_alpha, d_beta, g_u, g_v = _grad_core(
+        p.alpha, p.beta, u, v, _chart_of(p, d), d, plane_frame(u, v).lift
+    )
     g_u = g_u - (g_u @ u) * u
     g_v = g_v - (g_v @ v) * v
     return RatioGrad(d_alpha=float(d_alpha), d_beta=float(d_beta), d_u=g_u, d_v=g_v)
@@ -373,7 +391,8 @@ def maximizer_side_check(p: RankTwoParams, d: int) -> bool:
     """
     if not (p.alpha > p.beta > 0.0):
         raise ValueError("side check requires alpha > beta > 0")
-    _, ms, frame = _solve_params(p, d)
+    ms, _, _ = _chart_of(p, d)
+    frame = plane_frame(p.u, p.v)
     for w2 in ms.points:
         w = frame.lift(w2)
         if abs(float(w @ p.u)) < abs(float(w @ p.v)) - 1e-10:
@@ -491,13 +510,10 @@ class _Objective:
         self.evals += 1
         if not (alpha > 0.0) or beta == 0.0 or not _THETA_MIN <= theta <= math.pi / 2:
             return math.inf
-        one_minus_cd = _cos_gap_pow(theta, self.d)
-        coeffs = _family_coeffs(alpha, beta, theta, self.d, one_minus_cd)
         try:
-            ms = spectral_norm_binary_coeffs(coeffs)
+            ms, _, fro_sq = _chart(alpha, beta, theta, self.d)
         except ValueError:
             return math.inf
-        fro_sq = _pair_frob_sq(alpha, beta, one_minus_cd)
         if fro_sq <= 0.0:
             return math.inf
         return ms.value**2 / fro_sq
@@ -505,27 +521,12 @@ class _Objective:
     def grad(self, x):
         """Chart gradient; raises NondifferentiablePointError at kinks."""
         alpha, beta, theta = x
-        d = self.d
         c, s = math.cos(theta), math.sin(theta)
-        u = np.array([1.0, 0.0])
-        v = np.array([c, s])
-        one_minus_cd = _cos_gap_pow(theta, d)
-        ms = spectral_norm_binary_coeffs(_family_coeffs(alpha, beta, theta, d, one_minus_cd))
-        if len(ms.points) != 1:
-            raise NondifferentiablePointError
-        w = ms.points[0]
-        wu, wv = float(w @ u), float(w @ v)
-        lam = alpha * wu**d - beta * wv**d
-        sgn = 1.0 if lam >= 0.0 else -1.0
-        sigma = ms.value
-        fro_sq = _pair_frob_sq(alpha, beta, one_minus_cd)
-        scale = 2.0 * sigma / fro_sq**2
-        p_at_u = (alpha - beta) + beta * one_minus_cd
-        p_at_v = (alpha - beta) - alpha * one_minus_cd
-        d_alpha = scale * (sgn * fro_sq * wu**d - sigma * p_at_u)
-        d_beta = -scale * (sgn * fro_sq * wv**d - sigma * p_at_v)
-        grad_at_v = d * (alpha * c ** (d - 1) * u - beta * v)
-        g_v = -scale * beta * (sgn * fro_sq * d * wv ** (d - 1) * w - sigma * grad_at_v)
+        d_alpha, d_beta, _, g_v = _grad_core(
+            alpha, beta, np.array([1.0, 0.0]), np.array([c, s]),
+            _chart(alpha, beta, theta, self.d), self.d, with_u=False,
+        )
+        # Chain rule through v = (cos theta, sin theta).
         d_theta = float(g_v @ np.array([-s, c]))
         return np.array([d_alpha, d_beta, d_theta])
 

@@ -55,7 +55,10 @@ def real_roots(coeffs_desc) -> list[float]:
     if core.size > 1:
         dcore = np.polyder(core)
         seeds = np.unique(np.real(np.roots(core)))
-        candidates.extend(_newton(core, dcore, x) for x in seeds)
+        # A far seed may overflow the polynomial; _newton then stops on the
+        # non-finite value and the residual test below judges the seed.
+        with np.errstate(over="ignore", invalid="ignore"):
+            candidates.extend([_newton(core, dcore, x) for x in seeds])
     if has_zero_root:
         candidates.append(0.0)
 
@@ -64,8 +67,10 @@ def real_roots(coeffs_desc) -> list[float]:
     for x in sorted(candidates):
         if not np.isfinite(x):
             continue
-        residual = abs(np.polyval(c, x))
-        if residual > RESIDUAL_RTOL * (deg + 1) * max(1.0, abs(x)) ** deg:
+        # |p(x)| <= tol * max(1, |x|)^deg, evaluated as |x^-deg p(x)| through
+        # the reversed polynomial at 1/x when |x| > 1 so nothing overflows.
+        residual = abs(np.polyval(c, x) if abs(x) <= 1.0 else np.polyval(c[::-1], 1.0 / x))
+        if not residual <= RESIDUAL_RTOL * (deg + 1):
             continue
         if out and abs(x - out[-1]) <= DEDUP_RTOL * max(1.0, abs(x)):
             continue

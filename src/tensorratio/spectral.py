@@ -132,7 +132,9 @@ def spectral_norm_binary_coeffs(c, tol: float = REL_MAX_TOL) -> MaximizerSet:
         )
     xs = np.array(real_roots(q[::-1]))
     if xs.size:
-        hyp = np.sqrt(1.0 + xs * xs)
+        # 1 + x^2 overflows past |x| ~ 1.3e154; there sqrt(1 + x^2) is |x|.
+        ax = np.abs(xs)
+        hyp = np.where(ax > 1e150, ax, np.sqrt(1.0 + np.minimum(ax, 1e150) ** 2))
         X = np.concatenate([xs / hyp, [1.0]])
         Y = np.concatenate([1.0 / hyp, [0.0]])
     else:
@@ -240,6 +242,13 @@ def spectral_norm_power(A: SymTensor, cfg: IterConfig | None = None) -> Maximize
     )
 
 
+def spectral_norm(A: SymTensor, cfg: IterConfig | None = None) -> MaximizerSet:
+    """Exact binary solver for dim 2, power iteration (is_exact=False) otherwise."""
+    if A.dim == 2:
+        return spectral_norm_binary(A)
+    return spectral_norm_power(A, cfg)
+
+
 def best_rank_one(A: SymTensor, method: str = "auto", cfg: IterConfig | None = None) -> RankOneApprox:
     """Best symmetric rank-one approximation lam * w^d with lam = p_A(w).
 
@@ -247,21 +256,16 @@ def best_rank_one(A: SymTensor, method: str = "auto", cfg: IterConfig | None = N
     power iteration.  The residual identity
     ||A - lam w^d||_F^2 = ||A||_F^2 - lam^2 holds for the returned pair.
     """
-    if method not in ("auto", "exact", "power"):
-        raise ValueError(f"unknown method hint {method!r}")
-    use_exact = method == "exact" or (method == "auto" and A.dim == 2)
-    if use_exact:
+    if method == "auto":
+        ms = spectral_norm(A, cfg)
+    elif method == "exact":
         ms = spectral_norm_binary(A)
-    else:
+    elif method == "power":
         ms = spectral_norm_power(A, cfg)
+    else:
+        raise ValueError(f"unknown method hint {method!r}")
     w = ms.points[0]
     return RankOneApprox(lam=poly_eval(A, w), w=w)
-
-
-def _spectral_value(A: SymTensor, cfg: IterConfig | None = None) -> float:
-    if A.dim == 2:
-        return spectral_norm_binary(A).value
-    return spectral_norm_power(A, cfg).value
 
 
 def ratio(A: SymTensor, cfg: IterConfig | None = None) -> float:
@@ -269,7 +273,7 @@ def ratio(A: SymTensor, cfg: IterConfig | None = None) -> float:
     fro = frob_norm(A)
     if fro == 0.0:
         raise ValueError("ratio undefined for the zero tensor")
-    return _spectral_value(A, cfg) / fro
+    return spectral_norm(A, cfg).value / fro
 
 
 def relative_distance(A: SymTensor, cfg: IterConfig | None = None) -> float:

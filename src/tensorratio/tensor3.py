@@ -308,23 +308,38 @@ def _scan_objective(x) -> float:
     return 1.0 + float(np.dot(x, x))
 
 
-def _scan_violation(x, interior_margin: float) -> float:
+def _scan_constraints(x, interior_margin: float):
+    """Constraint values g(x), feasible where every one is <= 0."""
     a, b, c, d = x
-    viol = max(0.0, a * a + b * b + c * c + d * d + 2.0 * a * b * c - 1.0)
-    viol += max(0.0, interior_margin - (d * d + 4.0 * a * b * c))
-    for y in (a, b, c):
-        viol += max(0.0, abs(y) - 1.0)
+    g1 = a * a + b * b + c * c + d * d + 2.0 * a * b * c - 1.0
+    g2 = interior_margin - (d * d + 4.0 * a * b * c)
+    return g1, g2, abs(a) - 1.0, abs(b) - 1.0, abs(c) - 1.0
+
+
+# Plain left-to-right sums: sum() compensates rounding on Python >= 3.12,
+# which would move the bits of the scan.
+def _scan_violation(x, interior_margin: float) -> float:
+    viol = 0.0
+    for g in _scan_constraints(x, interior_margin):
+        viol += max(0.0, g)
     return viol
 
 
 def _scan_quad_penalty(x, interior_margin: float) -> float:
-    a, b, c, d = x
-    g1 = a * a + b * b + c * c + d * d + 2.0 * a * b * c - 1.0
-    g2 = interior_margin - (d * d + 4.0 * a * b * c)
-    v = max(g1, 0.0) ** 2 + max(g2, 0.0) ** 2
-    for y in (a, b, c):
-        v += max(abs(y) - 1.0, 0.0) ** 2
+    v = 0.0
+    for g in _scan_constraints(x, interior_margin):
+        v += max(g, 0.0) ** 2
     return v
+
+
+def _feasible_samples(cfg: SearchConfig, interior_margin: float):
+    """Uniform samples of [-1, 1]^4 with |pts|^2 and the feasibility mask."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    pts = rng.uniform(-1.0, 1.0, size=(max(int(cfg.budget), 1000), 4))
+    sq = np.einsum("ij,ij->i", pts, pts)
+    feas = sq + 2.0 * pts[:, 0] * pts[:, 1] * pts[:, 2] <= 1.0
+    feas &= pts[:, 3] ** 2 + 4.0 * pts[:, 0] * pts[:, 1] * pts[:, 2] >= interior_margin
+    return pts, sq, feas
 
 
 def _feasible_shrink(x, interior_margin: float):
@@ -360,12 +375,7 @@ def feasible_max_scan(cfg: SearchConfig | None = None, interior_margin: float = 
     on the boundary d^2 + 4abc = 0, which the result flags.
     """
     cfg = cfg or SearchConfig(budget=1_000_000)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    n = max(int(cfg.budget), 1000)
-    pts = rng.uniform(-1.0, 1.0, size=(n, 4))
-    sq = np.einsum("ij,ij->i", pts, pts)
-    feas = sq + 2.0 * pts[:, 0] * pts[:, 1] * pts[:, 2] <= 1.0
-    feas &= pts[:, 3] ** 2 + 4.0 * pts[:, 0] * pts[:, 1] * pts[:, 2] >= interior_margin
+    pts, sq, feas = _feasible_samples(cfg, interior_margin)
     objective = np.where(feas, 1.0 + sq, -np.inf)
     top = np.argsort(objective)[-40:]
 
@@ -412,7 +422,7 @@ def feasible_max_scan(cfg: SearchConfig | None = None, interior_margin: float = 
         argmax=nf,
         boundary=abs(criterion - interior_margin) <= 1e-5,
         criterion_at_argmax=float(criterion),
-        samples=n,
+        samples=len(pts),
     )
 
 
@@ -424,12 +434,9 @@ def feasible_scan_rows(cfg: SearchConfig | None = None, top_k: int = 100):
     equals the hyperdeterminant of the embedding).
     """
     cfg = cfg or SearchConfig(budget=100_000)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    pts = rng.uniform(-1.0, 1.0, size=(max(int(cfg.budget), 1000), 4))
-    sq = np.einsum("ij,ij->i", pts, pts)
+    pts, sq, feas = _feasible_samples(cfg, 0.0)
+    pts, sq = pts[feas], sq[feas]
     abc = pts[:, 0] * pts[:, 1] * pts[:, 2]
-    feas = (sq + 2.0 * abc <= 1.0) & (pts[:, 3] ** 2 + 4.0 * abc >= 0.0)
-    pts, sq, abc = pts[feas], sq[feas], abc[feas]
     order = np.argsort(sq)[::-1][:top_k]
     rows = [
         [float(pts[i, 0]), float(pts[i, 1]), float(pts[i, 2]), float(pts[i, 3]),

@@ -188,6 +188,9 @@ def test_cli_exit_codes(capsys, monkeypatch):
     assert main(["bogus-command"]) == 2
     assert main(["report"]) == 2
     assert main(["report", "wd:3", "--jobs", "0"]) == 2
+    # each subcommand accepts only the shared flags it reads
+    assert main(["search", "min-ratio-sym", "--tol", "1e-3"]) == 2
+    assert main(["sweep", "border_ab", "--seed", "1"]) == 2
     # forced failure propagates as exit code 1
     monkeypatch.setitem(
         harness.SUITES, "lemma-roots",
@@ -214,6 +217,14 @@ def test_cli_sweep_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.splitlines()[0] == "a,b,ratio,lb_interior,lb_axis"
+
+
+def test_cli_sweep_cells_are_plain_floats(capsys):
+    assert main(["sweep", "diff_t", "--d", "4", "--steps", "5"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 5
+    for row in rows:
+        [float(cell) for cell in row.split(",")]
 
 
 def test_cli_verify_deterministic_bytes(capsys):

@@ -30,7 +30,12 @@ from tensorratio.ranktwo import (
     ratio_squared_grad,
 )
 from tensorratio.spectral import count_global_maximizers, spectral_norm_binary
-from tensorratio.symtensor import DegenerateSpanError, frob_norm, sym_rank_one
+from tensorratio.symtensor import (
+    DegenerateSpanError,
+    frob_norm,
+    restrict_to_plane,
+    sym_rank_one,
+)
 
 
 def unit(x):
@@ -151,6 +156,56 @@ def test_ratio_squared_dim3(rng):
     v3 = unit([math.cos(phi), math.sin(phi), 0.0])
     p3 = canonical_params(2.0, 1.0, u3, v3, 4)
     assert ratio_squared(p3, 4) == pytest.approx(ratio_squared(p2, 4), rel=1e-12)
+
+
+def _chart_cases(rng, n):
+    """Rank-two parameters in R^n: random angles, theta near 1e-4, theta = pi/2.
+
+    Orders 3..8 take every kind; 9..12 only theta = pi/2, where the chart's
+    near-zero coefficients put critical roots past |x| ~ 1e154.
+    """
+    for d in range(3, 13):
+        for kind in ["random"] * 4 + ["small", "orthogonal"] if d <= 8 else ["orthogonal"]:
+            u = unit(rng.standard_normal(n))
+            r = rng.standard_normal(n)
+            perp = unit(r - (r @ u) * u)
+            if kind == "random":
+                v = unit(rng.standard_normal(n))
+            elif kind == "small":
+                theta = 1e-4 * rng.uniform(0.5, 2.0)
+                v = math.cos(theta) * u + math.sin(theta) * perp
+            else:
+                v = perp
+            alpha = math.exp(rng.normal())
+            beta = math.exp(rng.normal()) * rng.choice([1.0, -1.0])
+            yield canonical_params(alpha, beta, u, v, d), d
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chart_path_matches_assembled_tensor(rng, n):
+    for p, d in _chart_cases(rng, n):
+        A = make_rank_two(p, d)
+        if n == 2:
+            ref = spectral_norm_binary(A)
+            lifted = ref.points
+        else:
+            B, frame = restrict_to_plane(A, p.u, p.v)
+            ref = spectral_norm_binary(B)
+            lifted = [frame.lift(w) for w in ref.points]
+        value = ratio_squared(p, d)
+        assert value == pytest.approx(ref.value**2 / frob_norm(A) ** 2, rel=1e-12)
+        if p.alpha > p.beta > 0:
+            ref_side = all(abs(w @ p.u) >= abs(w @ p.v) - 1e-10 for w in lifted)
+            assert maximizer_side_check(p, d) == ref_side
+        if len(ref.points) != 1:
+            with pytest.raises(NondifferentiablePointError):
+                ratio_squared_grad(p, d)
+            continue
+        # Scale invariance gives alpha*d_alpha + beta*d_beta = (2 value / sigma)
+        # * (|p_A(w)| - sigma) for the lifted maximizer w, so it vanishes only
+        # when w attains the norm, i.e. lies in the unique reference class.
+        g = ratio_squared_grad(p, d)
+        assert abs(p.alpha * g.d_alpha + p.beta * g.d_beta) <= 1e-10 * value
 
 
 def test_grad_matches_finite_differences(rng):
