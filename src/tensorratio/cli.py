@@ -40,9 +40,19 @@ def _emit_json(obj, stream):
     stream.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 _FLAGS = {
     "--seed": dict(type=int, default=0, help="master seed (default 0)"),
-    "--budget": dict(type=int, default=None,
+    "--budget": dict(type=_positive_int, default=None,
                      help="samples / evaluations per case group (suite-specific default)"),
     "--tol": dict(type=float, default=None,
                   help="iteration tolerance for the heuristic solvers"),

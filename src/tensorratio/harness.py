@@ -20,16 +20,16 @@ from .ranktwo import (
     RankTwoParams,
     border_ratio_scan,
     canonical_params,
-    critical_equation_roots,
+    critical_equation_roots_batch,
     equal_diff_ratio_lb,
     extremal_ratio,
     extremal_tensor,
     make_border,
     make_rank_two,
     min_ratio_search,
-    ratio_squared,
+    ratio_squared_batch,
 )
-from .spectral import count_global_maximizers, spectral_norm, spectral_norm_binary
+from .spectral import binary_coeffs, spectral_norm, spectral_norm_binary, spectral_norm_binary_batch
 from .symtensor import SymTensor, frob_norm
 from .tensor3 import (
     Tensor3,
@@ -181,10 +181,14 @@ def parse_tensor_spec(text: str):
         raise UsageError(f"no such tensor file or builtin: {text!r}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{text}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
-    if "coeffs" in data:
-        return SymTensor.from_json_dict(data)
-    if "entries" in data:
-        return Tensor3.from_json_dict(data)
+    kind = None
+    if isinstance(data, dict):
+        kind = SymTensor if "coeffs" in data else Tensor3 if "entries" in data else None
+    if kind is not None:
+        try:
+            return kind.from_json_dict(data)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"{text}: malformed tensor file: {exc!r}") from None
     raise UsageError(f"{text}: expected a 'coeffs' (symmetric) or 'entries' (dense) tensor file")
 
 
@@ -278,9 +282,8 @@ def _suite_thm1_bound(seed: int, budget: int | None) -> SuiteResult:
     for d in (3, 4, 5, 6):
         bound = (1.0 - 1.0 / d) ** (d - 1)
         rng = rng_for(seed, 1, d)
-        for _ in range(per_d):
-            p = sample_rank_two_params(rng, d)
-            value = ratio_squared(p, d)
+        ps = [sample_rank_two_params(rng, d) for _ in range(per_d)]
+        for p, value in zip(ps, ratio_squared_batch(ps, d)):
             cases += 1
             if not value > bound - 1e-9:
                 _record(failures, d=d, F=value, bound=bound,
@@ -294,9 +297,8 @@ def _suite_prop_sum(seed: int, budget: int | None) -> SuiteResult:
     cases = 0
     for d in range(3, 9):
         rng = rng_for(seed, 2, d)
-        for _ in range(per_d):
-            p = sample_rank_two_params(rng, d, case="sum")
-            value = ratio_squared(p, d)
+        ps = [sample_rank_two_params(rng, d, case="sum") for _ in range(per_d)]
+        for p, value in zip(ps, ratio_squared_batch(ps, d)):
             cases += 1
             if not value >= 0.5 - 1e-12:
                 _record(failures, d=d, F=value, alpha=p.alpha, beta=p.beta)
@@ -310,11 +312,8 @@ def _suite_prop_equal(seed: int, budget: int | None) -> SuiteResult:
     for d in range(3, 9):
         bound = (1.0 - 1.0 / d) ** (d - 1)
         ts = np.geomspace(1e-4, 1.0, steps)
-        for t in ts:
-            u = np.array([1.0, t])
-            v = np.array([1.0, -t])
-            p = canonical_params(1.0, 1.0, u, v, d)
-            value = ratio_squared(p, d)
+        ps = [canonical_params(1.0, 1.0, np.array([1.0, t]), np.array([1.0, -t]), d) for t in ts]
+        for t, value in zip(ts, ratio_squared_batch(ps, d)):
             cases += 1
             if not value > bound:
                 _record(failures, d=d, t=float(t), F=value, bound=bound)
@@ -338,11 +337,13 @@ def _suite_lemma_roots(seed: int, budget: int | None) -> SuiteResult:
     for d in range(3, 9):
         rng = rng_for(seed, 3, d)
         expected = 2 + d % 2
+        abg = []
         for i in range(per_d):
             a = math.exp(rng.normal())
             gamma = math.exp(rng.normal())
             b = 0.0 if i % 10 == 0 else abs(rng.normal())
-            roots = critical_equation_roots(a, b, gamma, d)
+            abg.append((a, b, gamma))
+        for (a, b, gamma), roots in zip(abg, critical_equation_roots_batch(abg, d)):
             cases += 1
             if len(roots) != expected:
                 _record(failures, d=d, a=a, b=b, gamma=gamma,
@@ -356,9 +357,10 @@ def _suite_prop_unique(seed: int, budget: int | None) -> SuiteResult:
     cases = 0
     for d in range(3, 8):
         rng = rng_for(seed, 4, d)
-        for _ in range(per_d):
-            p = sample_rank_two_params(rng, d, case="generic")
-            count = count_global_maximizers(make_rank_two(p, d))
+        ps = [sample_rank_two_params(rng, d, case="generic") for _ in range(per_d)]
+        sets = spectral_norm_binary_batch(np.array([binary_coeffs(make_rank_two(p, d)) for p in ps]))
+        for p, ms in zip(ps, sets):
+            count = len(ms.points)
             cases += 1
             if count != 1:
                 _record(failures, d=d, count=count, alpha=p.alpha, beta=p.beta,
@@ -464,11 +466,12 @@ def _sweep_diff_t(d: int, steps: int, tmin: float):
     if not 0.0 < tmin < 1.0:
         raise UsageError("diff_t needs 0 < tmin < 1")
     bound = (1.0 - 1.0 / d) ** (d - 1)
-    rows = []
-    for t in np.geomspace(tmin, 1.0, steps):
-        t = float(t)
-        p = canonical_params(1.0, 1.0, np.array([1.0, t]), np.array([1.0, -t]), d)
-        rows.append([t, ratio_squared(p, d), equal_diff_ratio_lb(d, t), bound])
+    ts = np.geomspace(tmin, 1.0, steps).tolist()
+    ps = [canonical_params(1.0, 1.0, np.array([1.0, t]), np.array([1.0, -t]), d) for t in ts]
+    rows = [
+        [t, value, equal_diff_ratio_lb(d, t), bound]
+        for t, value in zip(ts, ratio_squared_batch(ps, d))
+    ]
     return ["t", "ratio_sq", "family_lb", "bound"], rows
 
 
@@ -515,7 +518,10 @@ def search_min_ratio(d: int, cfg: SearchConfig | None = None, with_trace: bool =
     With ``with_trace`` returns (report, trace) where the trace is a list of
     accepted-iterate records suitable for JSON-lines emission.
     """
-    res = min_ratio_search(d, cfg)
+    try:
+        res = min_ratio_search(d, cfg)
+    except ValueError as exc:
+        raise UsageError(f"min-ratio-sym: {exc}") from None
     report = {
         "target": "min-ratio-sym",
         "d": d,

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SearchConfig
-from .rootfind import real_roots
-from .spectral import spectral_norm_binary, spectral_norm_binary_coeffs
+from .rootfind import real_roots_batch
+from .spectral import spectral_norm_binary_batch, spectral_norm_binary_coeffs
 from .symtensor import (
     DegenerateSpanError,
     GRAM_RTOL,
@@ -40,6 +40,7 @@ __all__ = [
     "canonical_params",
     "classify_case",
     "critical_equation_roots",
+    "critical_equation_roots_batch",
     "equal_diff_frob_sq",
     "equal_diff_ratio_lb",
     "equal_diff_spectral_lb",
@@ -53,6 +54,7 @@ __all__ = [
     "min_ratio_search",
     "project_pair",
     "ratio_squared",
+    "ratio_squared_batch",
     "ratio_squared_grad",
 ]
 
@@ -243,23 +245,33 @@ def _family_coeffs(alpha: float, beta: float, theta: float, d: int, one_minus_cd
     return coeffs
 
 
-def _chart(alpha: float, beta: float, theta: float, d: int):
-    """Maximizer set, 1 - cos^d and squared Frobenius norm of alpha*e1^d - beta*v^d.
+def _chart_row(alpha: float, beta: float, theta: float, d: int):
+    """Coefficients, 1 - cos^d and squared Frobenius norm of alpha*e1^d - beta*v^d.
 
     v = (cos theta, sin theta).  Every rank-two ratio goes through this chart;
     plane_frame(u, v) maps its axes onto u and Gram-Schmidt(v) in any dimension.
     """
     one_minus_cd = _cos_gap_pow(theta, d)
-    ms = spectral_norm_binary_coeffs(_family_coeffs(alpha, beta, theta, d, one_minus_cd))
-    return ms, one_minus_cd, _pair_frob_sq(alpha, beta, one_minus_cd)
+    coeffs = _family_coeffs(alpha, beta, theta, d, one_minus_cd)
+    return coeffs, one_minus_cd, _pair_frob_sq(alpha, beta, one_minus_cd)
+
+
+def _chart(alpha: float, beta: float, theta: float, d: int):
+    """_chart_row with the coefficients solved into their maximizer set."""
+    coeffs, one_minus_cd, fro_sq = _chart_row(alpha, beta, theta, d)
+    return spectral_norm_binary_coeffs(coeffs), one_minus_cd, fro_sq
+
+
+def _theta(p: RankTwoParams) -> float:
+    """The angle between p.u and p.v; rejects dependent u, v."""
+    _check_span(p)
+    # 2 asin(||u - v|| / 2) keeps the angle accurate where acos(<u, v>) loses it.
+    return 2.0 * math.asin(float(np.linalg.norm(p.u - p.v)) / 2.0)
 
 
 def _chart_of(p: RankTwoParams, d: int):
     """_chart at the angle between p.u and p.v; rejects dependent u, v."""
-    _check_span(p)
-    # 2 asin(||u - v|| / 2) keeps the angle accurate where acos(<u, v>) loses it.
-    theta = 2.0 * math.asin(float(np.linalg.norm(p.u - p.v)) / 2.0)
-    return _chart(p.alpha, p.beta, theta, d)
+    return _chart(p.alpha, p.beta, _theta(p), d)
 
 
 def _grad_core(alpha, beta, u, v, chart, d: int, lift=np.asarray, with_u: bool = True):
@@ -298,10 +310,16 @@ def _grad_core(alpha, beta, u, v, chart, d: int, lift=np.asarray, with_u: bool =
     return d_alpha, d_beta, g_u, g_v
 
 
+def ratio_squared_batch(ps, d: int) -> list[float]:
+    """ratio_squared of each parameter set in ps, all of order d, in one solve."""
+    rows = [_chart_row(p.alpha, p.beta, _theta(p), d) for p in ps]
+    sets = spectral_norm_binary_batch(np.array([coeffs for coeffs, _, _ in rows]).reshape(-1, d + 1))
+    return [ms.value**2 / fro_sq for ms, (_, _, fro_sq) in zip(sets, rows)]
+
+
 def ratio_squared(p: RankTwoParams, d: int) -> float:
     """Squared spectral-to-Frobenius ratio of alpha*u^d - beta*v^d."""
-    ms, _, fro_sq = _chart_of(p, d)
-    return ms.value**2 / fro_sq
+    return ratio_squared_batch([p], d)[0]
 
 
 @dataclass(frozen=True)
@@ -366,6 +384,21 @@ def project_pair(u, v, w, d: int):
     return a, b, tensor
 
 
+def critical_equation_roots_batch(abg, d: int) -> list[list[float]]:
+    """critical_equation_roots of each (a, b, gamma) in abg, all of order d, in one solve."""
+    if d < 2:
+        raise ValueError("need order d >= 2")
+    polys = []
+    for a, b, gamma in abg:
+        if not (a > 0.0 and gamma > 0.0 and b >= 0.0):
+            raise ValueError("need a > 0, gamma > 0, b >= 0")
+        binom = np.array([math.comb(d - 1, j) * b**j for j in range(d)])
+        poly = gamma * np.convolve([1.0, -a], binom)
+        poly[-2] -= 1.0
+        polys.append(poly)
+    return real_roots_batch(np.array(polys).reshape(-1, d + 1))
+
+
 def critical_equation_roots(a: float, b: float, gamma: float, d: int) -> list[float]:
     """All real roots of gamma*(x - a)*(x + b)^(d-1) - x.
 
@@ -373,14 +406,7 @@ def critical_equation_roots(a: float, b: float, gamma: float, d: int) -> list[fl
     double roots (measure zero) are merged by the root-isolation proximity
     rule and reported once.
     """
-    if not (a > 0.0 and gamma > 0.0 and b >= 0.0):
-        raise ValueError("need a > 0, gamma > 0, b >= 0")
-    if d < 2:
-        raise ValueError("need order d >= 2")
-    binom = np.array([math.comb(d - 1, j) * b**j for j in range(d)])
-    poly = gamma * np.convolve([1.0, -a], binom)
-    poly[-2] -= 1.0
-    return real_roots(poly)
+    return critical_equation_roots_batch([(a, b, gamma)], d)[0]
 
 
 def maximizer_side_check(p: RankTwoParams, d: int) -> bool:
@@ -611,6 +637,7 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
         starts.append((alpha, beta, theta))
 
     best_x, best_f = None, math.inf
+    best_start = None
     first_f = None
     exhausted = False
     try:
@@ -620,6 +647,8 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
                 first_f = f0
             if not math.isfinite(f0):
                 continue
+            if best_start is None or f0 < best_start[1]:
+                best_start = (x0, f0)
             x, fx = _descend(f, np.array(x0), f0, trace, i)
             if fx < best_f:
                 best_x, best_f = x, fx
@@ -647,7 +676,10 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
         exhausted = True
 
     if best_x is None:
-        raise RuntimeError("no feasible start produced a finite objective")
+        # The budget ran out inside the first descent: report the best start.
+        if best_start is None:
+            raise ValueError("no start produced a finite objective within the budget")
+        best_x, best_f = best_start
     alpha, beta, theta = (float(t) for t in best_x)
     params = canonical_params(
         alpha, beta, np.array([1.0, 0.0]), np.array([math.cos(theta), math.sin(theta)]), d
@@ -692,16 +724,20 @@ def border_ratio_scan(d: int, steps: int) -> list[BorderScanRow]:
         raise ValueError("need at least 2 grid points")
     if d < 2:
         raise ValueError("need order d >= 2")
-    rows = []
-    for a in np.linspace(0.0, 1.0, steps):
-        a = float(a)
+    ab = []
+    coeffs = np.zeros((steps, d + 1))
+    for i, a in enumerate(np.linspace(0.0, 1.0, steps).tolist()):
         b = math.sqrt(max(1.0 - a * a, 0.0) / d)
-        A = SymTensor(d, 2, {(d, 0): a, (d - 1, 1): b})
-        value = spectral_norm_binary(A).value
+        ab.append((a, b))
+        # Binary coefficients of a*x^d + d*b*x^(d-1)y, as binary_coeffs gives them.
+        coeffs[i, d] = a
+        coeffs[i, d - 1] = d * b
+    rows = []
+    for (a, b), ms in zip(ab, spectral_norm_binary_batch(coeffs)):
         lb_interior = (
             a * (d - 1.0) ** (d / 2.0) + b * d * (d - 1.0) ** ((d - 1) / 2.0)
         ) / d ** (d / 2.0)
         rows.append(
-            BorderScanRow(a=a, b=b, ratio=value, lb_interior=lb_interior, lb_axis=a)
+            BorderScanRow(a=a, b=b, ratio=ms.value, lb_interior=lb_interior, lb_axis=a)
         )
     return rows

@@ -5,6 +5,10 @@ points are accepted on a residual test relative to the coefficient scale and
 then merged by proximity.  Seeding from real parts (instead of filtering on
 imaginary parts alone) keeps real roots of modest multiplicity, whose
 eigenvalue clusters split far into the complex plane.
+
+The solver works on a stack of coefficient rows: rows that share their zero
+structure share one stacked eigenvalue call and one masked Newton loop.  A
+single polynomial is the one-row case.
 """
 
 from __future__ import annotations
@@ -18,61 +22,157 @@ DEDUP_RTOL = 1e-8
 _NEWTON_ITERS = 60
 
 
-def _newton(coeffs, dcoeffs, x):
+def _horner(C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise np.polyval: C[i] evaluated at x[i], in the same operation order."""
+    y = np.zeros_like(x)
+    for col in C.T:
+        y = y * x + col
+    return y
+
+
+def _polish(C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Newton on every (C[i], x[i]) pair, each pair stopping on its own.
+
+    A pair keeps its point when f' is zero or not finite or the step leaves
+    the floats, returns the new point once the step is below 1e-15 relative,
+    and otherwise stops after _NEWTON_ITERS steps.  f' = 0 gives a non-finite
+    step and an infinite f' a zero step, so the step tests cover both.
+    """
+    n = C.shape[1]
+    # One Horner pass evaluates f and f'; the f' rows carry a leading zero,
+    # which leaves np.polyval's operation sequence unchanged.
+    CD = np.zeros((n, 2, x.size))
+    CD[:, 0, :] = C.T
+    CD[1:, 1, :] = (C[:, :-1] * np.arange(n - 1, 0, -1)).T
+    x = x.copy()
+    live = np.arange(x.size)
+    xa = x
     for _ in range(_NEWTON_ITERS):
-        fx = np.polyval(coeffs, x)
-        fpx = np.polyval(dcoeffs, x)
-        if fpx == 0.0 or not np.isfinite(fpx):
-            break
-        step = fx / fpx
-        x_new = x - step
-        if not np.isfinite(x_new):
-            break
-        if abs(step) <= 1e-15 * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
+        y = np.zeros((2, xa.size))
+        for col in CD:
+            y = y * xa + col
+        step = y[0] / y[1]
+        x_new = xa - step
+        # False for a non-finite x_new as well: its bound is inf or NaN.
+        go = np.abs(step) > 1e-15 * np.maximum(1.0, np.abs(x_new))
+        if go.all():
+            xa = x_new
+            continue
+        stop = ~go
+        x[live[stop]] = np.where(np.isfinite(x_new), x_new, xa)[stop]
+        live = live[go]
+        if not live.size:
+            return x
+        xa = x_new[go]
+        CD = CD[:, :, go]
+    x[live] = xa
     return x
+
+
+def _companion_seeds(core: np.ndarray) -> np.ndarray:
+    """Sorted real parts of the companion eigenvalues of each row, repeats as NaN.
+
+    Rows are descending coefficients with nonzero first and last entries.  A
+    row whose companion overflows (a near-zero leading coefficient) is seeded
+    from the reversed polynomial, whose roots are the reciprocals.
+    """
+    m, n = core.shape
+    A = np.zeros((m, n - 1, n - 1))
+    A[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
+    with np.errstate(over="ignore"):
+        A[:, 0, :] = -core[:, 1:] / core[:, :1]
+        bad = ~np.isfinite(A[:, 0, :]).all(axis=1)
+        if bad.any():
+            A[bad, 0, :] = -core[bad, -2::-1] / core[bad, -1:]
+    z = np.linalg.eigvals(A)
+    seeds = z.real
+    if bad.any():
+        zb = z[bad]
+        nonzero = zb != 0.0
+        inv = np.full(zb.shape, np.nan)
+        inv[nonzero] = (1.0 / zb[nonzero]).real
+        seeds[bad] = inv
+    seeds = np.sort(seeds, axis=1)
+    seeds[:, 1:][seeds[:, 1:] == seeds[:, :-1]] = np.nan
+    return seeds
+
+
+def _solve_group(cn: np.ndarray, lead: int, lead2: int, trail: int) -> list[list[float]]:
+    """Roots of normalized rows sharing one zero structure.
+
+    lead counts the exact leading zeros of the input rows, lead2 >= lead the
+    leading zeros after normalization, trail the trailing zeros after it.
+    """
+    m, n = cn.shape
+    c = cn[:, lead:]
+    if c.shape[1] == 1:
+        return [[] for _ in range(m)]
+    # Factor out x^trail so the companion matrix never sees the cluster at 0.
+    core = cn[:, lead2:n - trail]
+    cand = np.zeros((m, core.shape[1] - 1 + (trail > 0)))
+    if core.shape[1] > 1:
+        seeds = _companion_seeds(core)
+        rows, cols = np.nonzero(np.isfinite(seeds))
+        cand[:, :seeds.shape[1]] = np.nan
+        # A far seed may overflow the polynomial; Newton then stops on the
+        # non-finite value and the residual test below judges the seed.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cand[rows, cols] = _polish(core[rows], seeds[rows, cols])
+    cand.sort(axis=1, kind="stable")
+
+    rows, cols = np.nonzero(np.isfinite(cand))
+    x = cand[rows, cols]
+    # |p(x)| <= tol * max(1, |x|)^deg, evaluated as |x^-deg p(x)| through
+    # the reversed polynomial at 1/x when |x| > 1 so nothing overflows.
+    far = np.abs(x) > 1.0
+    t = x.copy()
+    t[far] = 1.0 / x[far]
+    P = c[rows]
+    P[far] = P[far, ::-1]
+    ok = np.abs(_horner(P, t)) <= RESIDUAL_RTOL * c.shape[1]
+
+    out: list[list[float]] = [[] for _ in range(m)]
+    for r, xi in zip(rows[ok].tolist(), x[ok].tolist()):
+        kept = out[r]
+        if not (kept and abs(xi - kept[-1]) <= DEDUP_RTOL * max(1.0, abs(xi))):
+            kept.append(xi)
+    return out
+
+
+def real_roots_batch(C) -> list[list[float]]:
+    """Distinct real roots of each row of C, descending coefficients, shape (M, n).
+
+    Rows of different degree carry leading zeros.  Raises ValueError when a
+    row is the zero polynomial.  Roots closer than DEDUP_RTOL (relative) are
+    reported once.
+    """
+    C = np.asarray(C, dtype=float)
+    if C.ndim != 2:
+        raise ValueError("real_roots_batch needs a 2-D array of coefficient rows")
+    m, n = C.shape
+    nonzero = C != 0.0
+    if n == 0 or not nonzero.any(axis=1).all():
+        raise ValueError("zero polynomial has no isolated roots")
+    # Normalize first: the division can flush denormal end coefficients to
+    # zero, and the zero structure that decides the factoring is taken after.
+    cn = C / np.abs(C).max(axis=1, keepdims=True)
+    nz = cn != 0.0
+    groups: dict = {}
+    keys = zip(nonzero.argmax(axis=1).tolist(), nz.argmax(axis=1).tolist(),
+               nz[:, ::-1].argmax(axis=1).tolist())
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    out: list = [None] * m
+    for key, idx in groups.items():
+        for i, roots in zip(idx, _solve_group(cn[idx], *key)):
+            out[i] = roots
+    return out
 
 
 def real_roots(coeffs_desc) -> list[float]:
     """Distinct real roots of the polynomial with descending coefficients.
 
-    Raises ValueError on the zero polynomial.  Roots closer than DEDUP_RTOL
-    (relative) are reported once.
+    The one-row case of real_roots_batch.  Raises ValueError on the zero
+    polynomial.  Roots closer than DEDUP_RTOL (relative) are reported once.
     """
-    c = np.asarray(coeffs_desc, dtype=float)
-    if c.size == 0 or not np.any(c):
-        raise ValueError("zero polynomial has no isolated roots")
-    c = np.trim_zeros(c, "f")
-    if c.size == 1:
-        return []
-    c = c / np.max(np.abs(c))
-    # Factor out x^k so the companion matrix never sees the cluster at 0.
-    core = np.trim_zeros(c, "b")
-    has_zero_root = core.size < c.size
-
-    candidates = []
-    if core.size > 1:
-        dcore = np.polyder(core)
-        seeds = np.unique(np.real(np.roots(core)))
-        # A far seed may overflow the polynomial; _newton then stops on the
-        # non-finite value and the residual test below judges the seed.
-        with np.errstate(over="ignore", invalid="ignore"):
-            candidates.extend([_newton(core, dcore, x) for x in seeds])
-    if has_zero_root:
-        candidates.append(0.0)
-
-    deg = c.size - 1
-    out: list[float] = []
-    for x in sorted(candidates):
-        if not np.isfinite(x):
-            continue
-        # |p(x)| <= tol * max(1, |x|)^deg, evaluated as |x^-deg p(x)| through
-        # the reversed polynomial at 1/x when |x| > 1 so nothing overflows.
-        residual = abs(np.polyval(c, x) if abs(x) <= 1.0 else np.polyval(c[::-1], 1.0 / x))
-        if not residual <= RESIDUAL_RTOL * (deg + 1):
-            continue
-        if out and abs(x - out[-1]) <= DEDUP_RTOL * max(1.0, abs(x)):
-            continue
-        out.append(float(x))
-    return out
+    return real_roots_batch(np.asarray(coeffs_desc, dtype=float)[None])[0]

@@ -10,13 +10,14 @@ lower bound, flagged as non-exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import IterConfig
-from .rootfind import real_roots
+from .rootfind import real_roots_batch
 from .symtensor import SymTensor, frob_norm, poly_eval, poly_grad
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "ratio",
     "relative_distance",
     "spectral_norm_binary",
+    "spectral_norm_binary_batch",
     "spectral_norm_binary_coeffs",
     "spectral_norm_power",
 ]
@@ -98,60 +100,75 @@ def binary_coeffs(A: SymTensor) -> np.ndarray:
     return np.array([math.comb(d, k) * A.coeff((k, d - k)) for k in range(d + 1)])
 
 
-def _tangential_coeffs(c: np.ndarray) -> np.ndarray:
-    """Coefficients of q = x * dp/dy - y * dp/dx in the same x^m y^(d-m) basis."""
-    d = len(c) - 1
-    q = np.zeros(d + 1)
-    for m in range(d + 1):
-        if m >= 1:
-            q[m] += (d - m + 1) * c[m - 1]
-        if m + 1 <= d:
-            q[m] -= (m + 1) * c[m + 1]
-    return q
+def _tangential_coeffs(C: np.ndarray) -> np.ndarray:
+    """Rows of q = x * dp/dy - y * dp/dx in the same x^m y^(d-m) basis as C."""
+    d = C.shape[-1] - 1
+    m = np.arange(d + 1)
+    Q = np.zeros(C.shape)
+    Q[..., 1:] += (d - m[1:] + 1) * C[..., :-1]
+    Q[..., :-1] -= (m[:-1] + 1) * C[..., 1:]
+    return Q
 
 
-def _eval_binary(c: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    d = len(c) - 1
-    ks = np.arange(d + 1)
-    return (c[None, :] * X[:, None] ** ks[None, :] * Y[:, None] ** (d - ks)[None, :]).sum(axis=1)
+def spectral_norm_binary_batch(C, tol: float = REL_MAX_TOL) -> list[MaximizerSet]:
+    """Binary exact solver on each row of dehomogenized coefficients c_k of p(x, y).
+
+    C has shape (M, d+1); the rows share one root isolation.  Fast path for
+    callers that assemble degree-d forms directly; see spectral_norm_binary
+    for the contract.  Raises if any row is zero or rotation-invariant.
+    """
+    C = np.asarray(C, dtype=float)
+    m, n = C.shape
+    d = n - 1
+    if not C.any(axis=1).all():
+        raise ValueError("zero tensor has no spectral maximizer")
+    Q = _tangential_coeffs(C)
+    qmax = np.abs(Q).max(axis=1)
+    if not qmax.all():
+        raise DegenerateTensorError(
+            "tangential derivative vanishes identically; every direction is critical"
+        )
+    roots = real_roots_batch(Q[:, ::-1])
+    counts = np.fromiter(map(len, roots), dtype=np.intp, count=m)
+    xs = np.fromiter(itertools.chain.from_iterable(roots), dtype=float, count=counts.sum())
+    # 1 + x^2 overflows past |x| ~ 1.3e154; there sqrt(1 + x^2) is |x|.
+    ax = np.abs(xs)
+    hyp = np.where(ax > 1e150, ax, np.sqrt(1.0 + np.minimum(ax, 1e150) ** 2))
+    X, Y = xs / hyp, 1.0 / hyp
+    row_of = np.repeat(np.arange(m), counts)
+    ks = np.arange(n)
+    vals = np.abs((C[row_of] * X[:, None] ** ks * Y[:, None] ** (d - ks)).sum(axis=1))
+    root_max = np.full(m, -np.inf)
+    np.maximum.at(root_max, row_of, vals)
+    # The axis probe (1, 0), where p = c_d, always enters the value, but it
+    # only counts as a maximizer class when the axis is itself critical
+    # (q(1,0) = q_d = 0) or when it beats every root candidate; otherwise a
+    # maximizer hugging the axis would be double-counted through the probe.
+    probe = np.abs(C[:, -1])
+    values = np.maximum(root_max, probe)
+    floor = values * (1.0 - tol)
+    keep = vals >= floor[row_of]
+    keep_probe = (probe >= floor) & (
+        (np.abs(Q[:, -1]) <= 1e-12 * qmax) | ~(probe < root_max)
+    )
+    points = np.column_stack([X, Y])
+    ends = np.cumsum(counts).tolist()
+    out = []
+    for i, (s, e) in enumerate(zip([0] + ends, ends)):
+        kept = list(points[s:e][keep[s:e]])
+        if keep_probe[i]:
+            kept.append(np.array([1.0, 0.0]))
+        out.append(MaximizerSet(value=float(values[i]), points=_dedup_antipodal(kept), is_exact=True))
+    return out
 
 
 def spectral_norm_binary_coeffs(c, tol: float = REL_MAX_TOL) -> MaximizerSet:
     """Binary exact solver on the dehomogenized coefficients c_k of p(x, y).
 
-    Fast path for callers that assemble the degree-d form directly; see
-    spectral_norm_binary for the contract.
+    The one-row case of spectral_norm_binary_batch; see spectral_norm_binary
+    for the contract.
     """
-    c = np.asarray(c, dtype=float)
-    if not np.any(c):
-        raise ValueError("zero tensor has no spectral maximizer")
-    q = _tangential_coeffs(c)
-    if not np.any(q):
-        raise DegenerateTensorError(
-            "tangential derivative vanishes identically; every direction is critical"
-        )
-    xs = np.array(real_roots(q[::-1]))
-    if xs.size:
-        # 1 + x^2 overflows past |x| ~ 1.3e154; there sqrt(1 + x^2) is |x|.
-        ax = np.abs(xs)
-        hyp = np.where(ax > 1e150, ax, np.sqrt(1.0 + np.minimum(ax, 1e150) ** 2))
-        X = np.concatenate([xs / hyp, [1.0]])
-        Y = np.concatenate([1.0 / hyp, [0.0]])
-    else:
-        X = np.array([1.0])
-        Y = np.array([0.0])
-    vals = np.abs(_eval_binary(c, X, Y))
-    value = float(vals.max())
-    keep = vals >= value * (1.0 - tol)
-    # The axis probe (1, 0) always enters the value, but it only counts as a
-    # maximizer class when the axis is itself critical (q(1,0) = q_d = 0) or
-    # when it beats every root candidate; otherwise a maximizer hugging the
-    # axis would be double-counted through the probe.
-    probe_critical = abs(q[-1]) <= 1e-12 * np.max(np.abs(q))
-    if not probe_critical and xs.size and vals[-1] < vals[:-1].max():
-        keep[-1] = False
-    points = _dedup_antipodal(np.column_stack([X[keep], Y[keep]]))
-    return MaximizerSet(value=value, points=points, is_exact=True)
+    return spectral_norm_binary_batch(np.asarray(c, dtype=float)[None], tol)[0]
 
 
 def spectral_norm_binary(A: SymTensor, tol: float = REL_MAX_TOL) -> MaximizerSet:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tensorratio.harness as harness
+import tensorratio.ranktwo as ranktwo
 from tensorratio.cli import main
 from tensorratio.config import SearchConfig
 from tensorratio.harness import (
@@ -149,6 +150,24 @@ def test_search_min_ratio_report():
     assert "not attained" in rep["note"]
 
 
+def test_search_min_ratio_budget_ends_in_first_descent(monkeypatch):
+    # The budget runs out before the first descent returns: the best start
+    # evaluated so far is reported.
+    for d, budget in [(3, 1), (12, 300)]:
+        rep = search_min_ratio(d, SearchConfig(budget=budget, seed=0))
+        assert rep["budget_exhausted"] is True
+        assert rep["evaluations"] == budget
+        assert math.isfinite(rep["best_ratio_sq"])
+        assert rep["best_ratio"] > rep["bound_ratio"]
+    # With no finite evaluation at all there is nothing to report.
+    def no_chart(*args):
+        raise ValueError("no chart")
+
+    monkeypatch.setattr(ranktwo, "_chart", no_chart)
+    with pytest.raises(UsageError):
+        search_min_ratio(3, SearchConfig(budget=20, seed=0))
+
+
 def test_search_counterexample_d3():
     rep = search_counterexample(3, SearchConfig(budget=300, seed=0))
     assert rep["counterexamples_found"] == 0
@@ -182,7 +201,7 @@ def test_cli_report_csv(capsys):
     assert len(lines) == 2
 
 
-def test_cli_exit_codes(capsys, monkeypatch):
+def test_cli_exit_codes(capsys, monkeypatch, tmp_path):
     assert main(["report", "wd:not-a-number"]) == 2
     assert main(["verify", "unknown-suite"]) == 2
     assert main(["bogus-command"]) == 2
@@ -191,6 +210,22 @@ def test_cli_exit_codes(capsys, monkeypatch):
     # each subcommand accepts only the shared flags it reads
     assert main(["search", "min-ratio-sym", "--tol", "1e-3"]) == 2
     assert main(["sweep", "border_ab", "--seed", "1"]) == 2
+    # a budget below 1 would check nothing; --budget 0 used to mean the default
+    for flags in (["verify", "thm1-bound", "--budget", "-3"], ["verify", "prop-sum", "--budget", "0"],
+                  ["search", "min-ratio-sym", "--budget", "0"], ["verify", "all", "--budget", "x"]):
+        assert main(flags) == 2
+    assert main(["search", "min-ratio-sym", "--d", "2"]) == 2
+    assert main(["sweep", "diff_t", "--steps", "0"]) == 0  # an empty batch
+    # malformed tensor files: wrong exponent length, missing "dim", bad shape
+    for name, data in [
+        ("exp.json", {"order": 3, "dim": 2, "coeffs": [{"exp": [1, 1], "value": 1}]}),
+        ("nodim.json", {"order": 3, "coeffs": [{"exp": [2, 1], "value": 1}]}),
+        ("shape.json", {"dims": [2, 2, 2], "entries": [1, 2, 3]}),
+        ("type.json", {"order": 3, "dim": 2, "coeffs": 5}),
+    ]:
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        assert main(["report", str(path)]) == 2
     # forced failure propagates as exit code 1
     monkeypatch.setitem(
         harness.SUITES, "lemma-roots",

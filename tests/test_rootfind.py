@@ -3,14 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import circle_grid_max
 from tensorratio.ranktwo import (
     _cos_gap_pow,
     _family_coeffs,
+    canonical_params,
     extremal_spectral_norm,
     extremal_tensor,
+    make_rank_two,
 )
-from tensorratio.rootfind import real_roots
+from tensorratio.rootfind import real_roots, real_roots_batch
 from tensorratio.spectral import _tangential_coeffs, binary_coeffs, spectral_norm_binary_coeffs
 
 
@@ -80,3 +85,50 @@ def test_far_roots_without_overflow():
             assert ms.value == pytest.approx(1.0, rel=1e-14)
             assert len(ms.points) == 2
             assert np.allclose(ms.points, [[0.0, 1.0], [1.0, 0.0]], rtol=0, atol=1e-14)
+        # ranktwo:1,0.5,0.1,300: the normalized leading coefficient of the
+        # tangential polynomial is ~2e-310, so its companion matrix overflows;
+        # the seeds come from the reversed polynomial instead.
+        u, v = np.array([1.0, 0.0]), np.array([0.1, math.sqrt(0.99)])
+        c = binary_coeffs(make_rank_two(canonical_params(1.0, 0.5, u, v, 300), 300))
+        ms = spectral_norm_binary_coeffs(c)
+        assert ms.value == pytest.approx(1.0, rel=1e-14)
+        assert ms.value >= circle_grid_max(c, 400_000) - 1e-12
+        assert np.allclose(ms.points, [[1.0, 0.0]], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.lists(
+            st.lists(st.floats(-4.0, 4.0, allow_subnormal=False), min_size=n, max_size=n),
+            min_size=1,
+            max_size=12,
+        )
+    )
+)
+def test_batch_rows_equal_single_calls(rows):
+    # Zeroing small entries mixes in leading, interior and trailing zeros.
+    C = np.array(rows)
+    C[np.abs(C) < 0.3] = 0.0
+    C[~C.any(axis=1), -1] = 1.0
+    # A tail that turns to zero only after normalization, and a row with a
+    # double root, share the stack.
+    extra = np.zeros((2, C.shape[1]))
+    if C.shape[1] >= 4:
+        extra[0, -4:] = [4.0, -12.0, 8.0, 5e-324]
+        extra[1, -4:] = np.poly([1.0, 1.0, -2.0])
+    else:
+        extra[:, -1] = 1.0
+    C = np.vstack([C, extra])
+    assert real_roots_batch(C) == [real_roots(row) for row in C]
+
+
+def test_denormal_tail_becomes_a_zero_root():
+    # 5e-324 / 12 flushes to zero: the scalar path factors out x and reports 0.
+    assert real_roots([4.0, -12.0, 8.0, 5e-324]) == pytest.approx([0.0, 1.0, 2.0], abs=1e-14)
+    assert real_roots_batch([[4.0, -12.0, 8.0, 5e-324], [0.0, 1.0, -3.0, 2.0]]) == [
+        real_roots([4.0, -12.0, 8.0, 5e-324]),
+        real_roots([1.0, -3.0, 2.0]),
+    ]
+    with pytest.raises(ValueError):
+        real_roots_batch([[1.0, 2.0], [0.0, 0.0]])

@@ -14,6 +14,8 @@ from tensorratio.spectral import (
     ratio,
     relative_distance,
     spectral_norm_binary,
+    spectral_norm_binary_batch,
+    spectral_norm_binary_coeffs,
     spectral_norm_power,
 )
 from tensorratio.symtensor import SymTensor, frob_norm, poly_eval, sym_rank_one
@@ -193,6 +195,24 @@ def test_axis_probe_still_counts_when_critical():
     ms = spectral_norm_binary(A)
     assert len(ms.points) == 1
     assert np.allclose(ms.points[0], [1.0, 0.0])
+
+
+def test_batch_equals_single_rows(rng):
+    # Random forms, forms with zero coefficients (axis probe critical or not)
+    # and a maximizer hugging the axis share one stack per order.
+    for d in (2, 3, 4, 7):
+        C = rng.standard_normal((40, d + 1))
+        C[::3, -1] = 0.0
+        C[1::4, 0] = 0.0
+        C[2::5, 1] = 0.0
+        C = np.vstack([C, binary_coeffs(sym_rank_one([1.0, 0.0], d))])
+        for row, ms in zip(C, spectral_norm_binary_batch(C)):
+            one = spectral_norm_binary_coeffs(row)
+            assert ms.value == one.value
+            assert ms.is_exact and one.is_exact
+            assert len(ms.points) == len(one.points)
+            for w, w1 in zip(ms.points, one.points):
+                assert np.array_equal(w, w1)
 
 
 def test_maximizer_sign_convention(rng):
