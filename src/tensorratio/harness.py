@@ -33,13 +33,12 @@ from .spectral import binary_coeffs, spectral_norm, spectral_norm_binary, spectr
 from .symtensor import SymTensor, frob_norm
 from .tensor3 import (
     Tensor3,
-    als_spectral_norm,
+    als_spectral_norm_batch,
     extremal_tensor3,
     feasible_max_scan,
     hyperdet_stack,
     ratio_3,
     spectral_norm_3,
-    spectral_norm_3_batch,
 )
 
 __all__ = [
@@ -389,6 +388,19 @@ def _suite_border_scan(seed: int, budget: int | None) -> SuiteResult:
     return SuiteResult("border-scan", cases, failures, seed=seed)
 
 
+def _screen_ratios_3(stack: np.ndarray, bound: float, seed: int) -> np.ndarray:
+    """Ratios of a stack of third-order tensors: one batched screen, then the
+    full single-tensor solver on every sample within 1e-3 of the bound, so
+    local maxima cannot masquerade as counterexamples."""
+    screen = als_spectral_norm_batch(stack, IterConfig(starts=8, tol=1e-12, max_iters=400, seed=seed))
+    fros = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
+    ratios = np.array([res.value for res in screen]) / fros
+    for idx in np.nonzero(ratios <= bound + 1e-3)[0]:
+        exact = ratio_3(Tensor3(stack[idx]), IterConfig(starts=32, tol=1e-14, seed=seed))
+        ratios[idx] = max(ratios[idx], exact)
+    return ratios
+
+
 def _suite_thm3_bound(seed: int, budget: int | None) -> SuiteResult:
     m = budget or 10_000
     failures: list = []
@@ -396,15 +408,8 @@ def _suite_thm3_bound(seed: int, budget: int | None) -> SuiteResult:
     stack = _sample_rank_two_stack(rng, m)
     keep = hyperdet_stack(stack) > 0.0
     stack = stack[keep]
-    values = spectral_norm_3_batch(stack, IterConfig(starts=8, tol=1e-12, max_iters=400, seed=seed))
-    fros = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
-    ratios = values / fros
+    ratios = _screen_ratios_3(stack, 2.0 / 3.0, seed)
     cases = int(len(stack))
-    for idx in np.nonzero(ratios <= 2.0 / 3.0 + 1e-3)[0]:
-        # Near-threshold samples get the full single-tensor solver before
-        # being judged, so local maxima cannot masquerade as counterexamples.
-        exact = ratio_3(Tensor3(stack[idx]), IterConfig(starts=32, tol=1e-14, seed=seed))
-        ratios[idx] = max(ratios[idx], exact)
     for idx in np.nonzero(~(ratios > 2.0 / 3.0 - 1e-9))[0]:
         _record(failures, ratio=float(ratios[idx]), entries=stack[idx].ravel().tolist())
 
@@ -463,6 +468,8 @@ def run_suite(name: str, seed: int = 0, budget: int | None = None) -> SuiteResul
 
 
 def _sweep_diff_t(d: int, steps: int, tmin: float):
+    if d < 2 or steps < 0:
+        raise UsageError("diff_t needs d >= 2 and steps >= 0")
     if not 0.0 < tmin < 1.0:
         raise UsageError("diff_t needs 0 < tmin < 1")
     bound = (1.0 - 1.0 / d) ** (d - 1)
@@ -476,6 +483,8 @@ def _sweep_diff_t(d: int, steps: int, tmin: float):
 
 
 def _sweep_border_ab(d: int, steps: int):
+    if d < 2 or steps < 2:
+        raise UsageError("border_ab needs d >= 2 and steps >= 2")
     rows = [
         [row.a, row.b, row.ratio, row.lb_interior, row.lb_axis]
         for row in border_ratio_scan(d, steps)
@@ -557,42 +566,25 @@ def search_counterexample(d: int, cfg: SearchConfig | None = None) -> dict:
     samples = cfg.budget or 10_000
     bound = (1.0 - 1.0 / d) ** ((d - 1) / 2.0)
     rng = rng_for(cfg.seed, 6, d)
-    worst = math.inf
-    worst_entries = None
-    found = 0
     if d == 3:
         stack = _sample_rank_two_stack(rng, samples)
-        values = spectral_norm_3_batch(stack, IterConfig(starts=8, tol=1e-12, max_iters=400, seed=cfg.seed))
-        fros = np.linalg.norm(stack.reshape(samples, -1), axis=1)
-        ratios = values / fros
-        for idx in np.nonzero(ratios <= bound + 1e-3)[0]:
-            exact = ratio_3(Tensor3(stack[idx]), IterConfig(starts=32, tol=1e-14, seed=cfg.seed))
-            ratios[idx] = max(ratios[idx], exact)
-        worst_idx = int(np.argmin(ratios))
-        worst = float(ratios[worst_idx])
-        worst_entries = stack[worst_idx].ravel().tolist()
-        found = int(np.count_nonzero(ratios < bound - 1e-9))
+        ratios = _screen_ratios_3(stack, bound, cfg.seed)
     else:
-        def unit(k):
-            x = rng.standard_normal(k)
-            return x / np.linalg.norm(x)
-
-        for _ in range(samples):
-            us = [unit(2) for _ in range(d)]
-            vs = [unit(2) for _ in range(d)]
-            T = np.ones(())
-            U = np.ones(())
-            for u, v in zip(us, vs):
-                T = np.multiply.outer(T, u)
-                U = np.multiply.outer(U, v)
-            T = T + U
-            value = als_spectral_norm(T, IterConfig(starts=6, tol=1e-13, seed=cfg.seed)).value
-            r = value / float(np.linalg.norm(T))
-            if r < worst:
-                worst = r
-                worst_entries = T.ravel().tolist()
-            if r < bound - 1e-9:
-                found += 1
+        # Per sample: d unit factors u, then d unit factors v.  vecdot is the
+        # dot product that np.linalg.norm takes of a single vector.
+        uv = rng.standard_normal((samples, 2, d, 2))
+        uv /= np.sqrt(np.vecdot(uv, uv))[..., None]
+        stack = uv[:, :, 0]
+        for mode in range(1, d):
+            stack = stack[..., None] * uv[:, :, mode].reshape((samples, 2) + (1,) * mode + (2,))
+        stack = stack[:, 0] + stack[:, 1]
+        screen = als_spectral_norm_batch(stack, IterConfig(starts=6, tol=1e-13, seed=cfg.seed))
+        flat = stack.reshape(samples, -1)
+        ratios = np.array([res.value for res in screen]) / np.sqrt(np.vecdot(flat, flat))
+    worst_idx = int(np.argmin(ratios))
+    worst = float(ratios[worst_idx])
+    worst_entries = stack[worst_idx].ravel().tolist()
+    found = int(np.count_nonzero(ratios < bound - 1e-9))
     return {
         "target": "counterexample-nonsym",
         "d": d,

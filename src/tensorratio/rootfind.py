@@ -18,6 +18,9 @@ import numpy as np
 # Residual acceptance and root-merging thresholds, both scale-invariant.
 RESIDUAL_RTOL = 1e-10
 DEDUP_RTOL = 1e-8
+# A seed that stops at the Newton cap can pass the residual test short of a
+# simple root; within this distance of a converged neighbour it is that root.
+CAPPED_RTOL = 1e-6
 
 _NEWTON_ITERS = 60
 
@@ -30,13 +33,14 @@ def _horner(C: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _polish(C: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _polish(C: np.ndarray, x: np.ndarray):
     """Newton on every (C[i], x[i]) pair, each pair stopping on its own.
 
     A pair keeps its point when f' is zero or not finite or the step leaves
     the floats, returns the new point once the step is below 1e-15 relative,
     and otherwise stops after _NEWTON_ITERS steps.  f' = 0 gives a non-finite
     step and an infinite f' a zero step, so the step tests cover both.
+    Returns the points and the indices of the pairs stopped by the cap.
     """
     n = C.shape[1]
     # One Horner pass evaluates f and f'; the f' rows carry a leading zero,
@@ -62,11 +66,11 @@ def _polish(C: np.ndarray, x: np.ndarray) -> np.ndarray:
         x[live[stop]] = np.where(np.isfinite(x_new), x_new, xa)[stop]
         live = live[go]
         if not live.size:
-            return x
+            return x, live
         xa = x_new[go]
         CD = CD[:, :, go]
     x[live] = xa
-    return x
+    return x, live
 
 
 def _companion_seeds(core: np.ndarray) -> np.ndarray:
@@ -110,6 +114,7 @@ def _solve_group(cn: np.ndarray, lead: int, lead2: int, trail: int) -> list[list
     # Factor out x^trail so the companion matrix never sees the cluster at 0.
     core = cn[:, lead2:n - trail]
     cand = np.zeros((m, core.shape[1] - 1 + (trail > 0)))
+    capped = np.zeros(cand.shape, dtype=bool)
     if core.shape[1] > 1:
         seeds = _companion_seeds(core)
         rows, cols = np.nonzero(np.isfinite(seeds))
@@ -117,11 +122,13 @@ def _solve_group(cn: np.ndarray, lead: int, lead2: int, trail: int) -> list[list
         # A far seed may overflow the polynomial; Newton then stops on the
         # non-finite value and the residual test below judges the seed.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            cand[rows, cols] = _polish(core[rows], seeds[rows, cols])
-    cand.sort(axis=1, kind="stable")
+            cand[rows, cols], live = _polish(core[rows], seeds[rows, cols])
+        capped[rows[live], cols[live]] = True
+    order = (np.arange(m)[:, None], np.argsort(cand, axis=1, kind="stable"))
+    cand, capped = cand[order], capped[order]
 
     rows, cols = np.nonzero(np.isfinite(cand))
-    x = cand[rows, cols]
+    x, x_capped = cand[rows, cols], capped[rows, cols]
     # |p(x)| <= tol * max(1, |x|)^deg, evaluated as |x^-deg p(x)| through
     # the reversed polynomial at 1/x when |x| > 1 so nothing overflows.
     far = np.abs(x) > 1.0
@@ -132,10 +139,22 @@ def _solve_group(cn: np.ndarray, lead: int, lead2: int, trail: int) -> list[list
     ok = np.abs(_horner(P, t)) <= RESIDUAL_RTOL * c.shape[1]
 
     out: list[list[float]] = [[] for _ in range(m)]
-    for r, xi in zip(rows[ok].tolist(), x[ok].tolist()):
+    last_capped = [False] * m
+    for r, xi, ci in zip(rows[ok].tolist(), x[ok].tolist(), x_capped[ok].tolist()):
         kept = out[r]
-        if not (kept and abs(xi - kept[-1]) <= DEDUP_RTOL * max(1.0, abs(xi))):
-            kept.append(xi)
+        if kept:
+            gap = abs(xi - kept[-1])
+            scale = max(1.0, abs(xi))
+            if gap <= DEDUP_RTOL * scale:
+                continue
+            # A capped point next to a converged one folds into it, keeping
+            # the converged value.
+            if ci != last_capped[r] and gap <= CAPPED_RTOL * scale:
+                if last_capped[r]:
+                    kept[-1], last_capped[r] = xi, False
+                continue
+        kept.append(xi)
+        last_capped[r] = ci
     return out
 
 

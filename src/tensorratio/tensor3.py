@@ -10,7 +10,6 @@ import string
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import IterConfig, SearchConfig
 
@@ -20,6 +19,7 @@ __all__ = [
     "NormalForm222",
     "Tensor3",
     "als_spectral_norm",
+    "als_spectral_norm_batch",
     "embed_normal_form",
     "extremal_tensor3",
     "feasible_max_scan",
@@ -30,7 +30,6 @@ __all__ = [
     "normal_form_feasible",
     "ratio_3",
     "spectral_norm_3",
-    "spectral_norm_3_batch",
 ]
 
 
@@ -73,13 +72,85 @@ class ALSResult:
     sweeps: int
 
 
-def _hosvd_vectors(T: np.ndarray) -> list:
-    vecs = []
-    for mode in range(T.ndim):
-        unfolding = np.moveaxis(T, mode, 0).reshape(T.shape[mode], -1)
-        u, _, _ = np.linalg.svd(unfolding, full_matrices=False)
-        vecs.append(u[:, 0])
-    return vecs
+def _als(T: np.ndarray, cfg: IterConfig | None) -> list:
+    """Alternating maximization over an (M, n1, ..., nk) stack, one result per tensor.
+
+    Every tensor starts from the leading left singular vectors of its
+    unfoldings plus random unit factors, drawn once per mode and shared by the
+    whole stack, and leaves the stack once its largest objective gain over
+    the starts falls below cfg.tol.
+    """
+    cfg = cfg or IterConfig(starts=32, tol=1e-14)
+    if T.ndim < 3:
+        raise ValueError("need a tensor of order >= 2")
+    if not np.all(np.any(T, axis=tuple(range(1, T.ndim)))):
+        raise ValueError("zero tensor has no spectral maximizer")
+    m, dims = T.shape[0], T.shape[1:]
+    if not m:
+        return []
+    order = len(dims)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    factors = []
+    for mode in range(order):
+        unfolding = np.moveaxis(T, mode + 1, 1).reshape(m, dims[mode], -1)
+        F = np.empty((m, cfg.starts + 1, dims[mode]))
+        F[:] = rng.standard_normal((cfg.starts + 1, dims[mode]))
+        F[:, 0] = np.linalg.svd(unfolding, full_matrices=False)[0][:, :, 0]
+        F /= np.linalg.norm(F, axis=2, keepdims=True)
+        factors.append(F)
+
+    letters = string.ascii_lowercase[:order]
+    value_spec = ",".join(["z" + letters] + ["zs" + le for le in letters]) + "->zs"
+    # Mode updates contract T against the other factors, in mode order.
+    update_specs = [",".join(["z" + letters] + ["zs" + le for le in letters if le != out]) + "->zs" + out
+                    for out in letters]
+
+    results: list = [None] * m
+    active = np.arange(m)
+
+    def finish(done, converged, sweeps):
+        for i in np.nonzero(done)[0]:
+            best = int(np.argmax(obj[i]))
+            results[active[i]] = ALSResult(
+                value=float(obj[i, best]),
+                factors=tuple(f[i, best].copy() for f in factors),
+                converged=converged,
+                sweeps=sweeps,
+            )
+
+    obj = np.abs(np.einsum(value_spec, T, *factors))
+    for sweep in range(1, cfg.max_iters + 1):
+        if not active.size:
+            break
+        for mode, spec in enumerate(update_specs):
+            contraction = np.einsum(spec, T, *factors[:mode], *factors[mode + 1:])
+            norms = np.linalg.norm(contraction, axis=2)
+            dead = norms == 0.0
+            if dead.any():
+                contraction[dead] = rng.standard_normal((int(dead.sum()), dims[mode]))
+                norms[dead] = np.linalg.norm(contraction[dead], axis=1)
+            factors[mode] = contraction / norms[:, :, None]
+        if (norms < obj - 1e-12 * (1.0 + obj)).any():
+            raise RuntimeError("alternating maximization lost monotonicity")
+        done = (norms - obj).max(axis=1) < cfg.tol
+        obj = norms
+        if done.any():
+            finish(done, True, sweep)
+            keep = ~done
+            active, T, obj = active[keep], T[keep], obj[keep]
+            factors = [f[keep] for f in factors]
+    finish(np.ones(active.size, dtype=bool), False, cfg.max_iters)
+    return results
+
+
+def als_spectral_norm_batch(tensors: np.ndarray, cfg: IterConfig | None = None) -> list:
+    """Spectral norms of an (M, n1, ..., nk) stack by alternating maximization.
+
+    Each tensor follows the rules of als_spectral_norm (its own HOSVD start,
+    its own stopping sweep); the random starts are shared by the stack.
+    Returns one ALSResult per tensor.
+    """
+    return _als(np.asarray(tensors, dtype=float), cfg)
 
 
 def als_spectral_norm(T: np.ndarray, cfg: IterConfig | None = None) -> ALSResult:
@@ -88,61 +159,10 @@ def als_spectral_norm(T: np.ndarray, cfg: IterConfig | None = None) -> ALSResult
     Each sweep maximizes over one factor at a time (a contraction against the
     remaining factors followed by normalization), which makes the objective
     <T, u_1 x ... x u_k> nondecreasing.  Multistart from random unit factors
-    plus the leading singular vectors of the unfoldings.
+    plus the leading singular vectors of the unfoldings.  The one-tensor case
+    of als_spectral_norm_batch.
     """
-    cfg = cfg or IterConfig(starts=32, tol=1e-14)
-    T = np.asarray(T, dtype=float)
-    order = T.ndim
-    if order < 2:
-        raise ValueError("need a tensor of order >= 2")
-    if not np.any(T):
-        raise ValueError("zero tensor has no spectral maximizer")
-    dims = T.shape
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    n_starts = cfg.starts + 1
-    factors = []
-    hosvd = _hosvd_vectors(T)
-    for mode in range(order):
-        F = rng.standard_normal((n_starts, dims[mode]))
-        F[0] = hosvd[mode]
-        F /= np.linalg.norm(F, axis=1, keepdims=True)
-        factors.append(F)
-
-    letters = string.ascii_lowercase[:order]
-    updates = []
-    for mode in range(order):
-        others = [m for m in range(order) if m != mode]
-        spec = ",".join([letters] + ["s" + letters[m] for m in others]) + "->s" + letters[mode]
-        updates.append((mode, others, spec))
-    value_spec = ",".join([letters] + ["s" + le for le in letters]) + "->s"
-
-    obj = np.abs(np.einsum(value_spec, T, *factors))
-    converged = False
-    sweep = 0
-    for sweep in range(1, cfg.max_iters + 1):
-        for mode, others, spec in updates:
-            contraction = np.einsum(spec, T, *[factors[m] for m in others])
-            norms = np.linalg.norm(contraction, axis=1)
-            dead = norms == 0.0
-            if np.any(dead):
-                contraction[dead] = rng.standard_normal((int(dead.sum()), dims[mode]))
-                norms[dead] = np.linalg.norm(contraction[dead], axis=1)
-            factors[mode] = contraction / norms[:, None]
-        new_obj = norms
-        if np.any(new_obj < obj - 1e-12 * (1.0 + obj)):
-            raise RuntimeError("alternating maximization lost monotonicity")
-        change = float(np.max(new_obj - obj))
-        obj = new_obj
-        if change < cfg.tol:
-            converged = True
-            break
-    best = int(np.argmax(obj))
-    return ALSResult(
-        value=float(obj[best]),
-        factors=tuple(f[best].copy() for f in factors),
-        converged=converged,
-        sweeps=sweep,
-    )
+    return _als(np.asarray(T, dtype=float)[None], cfg)[0]
 
 
 def spectral_norm_3(T: Tensor3, cfg: IterConfig | None = None) -> ALSResult:
@@ -150,47 +170,6 @@ def spectral_norm_3(T: Tensor3, cfg: IterConfig | None = None) -> ALSResult:
     if T.entries.ndim != 3:
         raise ValueError("spectral_norm_3 needs a third-order tensor")
     return als_spectral_norm(T.entries, cfg)
-
-
-def spectral_norm_3_batch(tensors: np.ndarray, cfg: IterConfig | None = None) -> np.ndarray:
-    """Spectral norms of a stack of third-order tensors, batched over starts.
-
-    ``tensors`` has shape (M, n1, n2, n3); returns the M values.  Same sweep
-    scheme as the single-tensor path, vectorized across tensors and starts.
-    Values are monotone lower bounds at any sweep count, so a modest default
-    iteration cap is safe for screening campaigns; stragglers should be
-    re-judged with the single-tensor solver.
-    """
-    cfg = cfg or IterConfig(starts=8, tol=1e-12, max_iters=400)
-    T = np.asarray(tensors, dtype=float)
-    if T.ndim != 4:
-        raise ValueError("expected an (M, n1, n2, n3) stack")
-    M = T.shape[0]
-    dims = T.shape[1:]
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    S = cfg.starts
-    factors = []
-    for mode in range(3):
-        F = rng.standard_normal((M, S, dims[mode]))
-        F /= np.linalg.norm(F, axis=2, keepdims=True)
-        factors.append(F)
-    specs = [
-        ("mjkl,msk,msl->msj", (1, 2)),
-        ("mjkl,msj,msl->msk", (0, 2)),
-        ("mjkl,msj,msk->msl", (0, 1)),
-    ]
-    obj = np.zeros((M, S))
-    for _ in range(cfg.max_iters):
-        for mode, (spec, others) in enumerate(specs):
-            contraction = np.einsum(spec, T, factors[others[0]], factors[others[1]])
-            norms = np.linalg.norm(contraction, axis=2)
-            norms_safe = np.where(norms == 0.0, 1.0, norms)
-            factors[mode] = contraction / norms_safe[:, :, None]
-        change = float(np.max(np.abs(norms - obj)))
-        obj = norms
-        if change < cfg.tol:
-            break
-    return obj.max(axis=1)
 
 
 def ratio_3(T: Tensor3, cfg: IterConfig | None = None) -> float:
@@ -310,7 +289,7 @@ def _scan_objective(x) -> float:
 
 def _scan_constraints(x, interior_margin: float):
     """Constraint values g(x), feasible where every one is <= 0."""
-    a, b, c, d = x
+    a, b, c, d = map(float, x)
     g1 = a * a + b * b + c * c + d * d + 2.0 * a * b * c - 1.0
     g2 = interior_margin - (d * d + 4.0 * a * b * c)
     return g1, g2, abs(a) - 1.0, abs(b) - 1.0, abs(c) - 1.0
@@ -328,7 +307,8 @@ def _scan_violation(x, interior_margin: float) -> float:
 def _scan_quad_penalty(x, interior_margin: float) -> float:
     v = 0.0
     for g in _scan_constraints(x, interior_margin):
-        v += max(g, 0.0) ** 2
+        if not g <= 0.0:  # max(g, 0.0) ** 2, NaN included, without the call
+            v += g ** 2
     return v
 
 
@@ -340,6 +320,52 @@ def _feasible_samples(cfg: SearchConfig, interior_margin: float):
     feas = sq + 2.0 * pts[:, 0] * pts[:, 1] * pts[:, 2] <= 1.0
     feas &= pts[:, 3] ** 2 + 4.0 * pts[:, 0] * pts[:, 1] * pts[:, 2] >= interior_margin
     return pts, sq, feas
+
+
+def _nelder_mead(f, x0, maxiter: int) -> np.ndarray:
+    """scipy.optimize.minimize(f, x0, method="Nelder-Mead", options={"xatol":
+    1e-13, "fatol": 1e-13, "maxiter": maxiter}).x, step for step, but on
+    lists of Python floats, which costs a fraction of NumPy's overhead on
+    4-element arrays.  f receives such a list."""
+    n = len(x0)
+    sim = [[float(v) for v in x0]]
+    for k in range(n):
+        y = list(sim[0])
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [f(x) for x in sim]
+
+    def move(t):  # (1 + t) xbar - t worst, evaluated
+        x = [(1 + t) * b - t * w for b, w in zip(xbar, worst)]
+        return x, f(x)
+
+    for it in range(maxiter):
+        order = np.argsort(fsim).tolist()  # NumPy's order of ties, as scipy's
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        best, worst = sim[0], sim[-1]
+        if it == maxiter - 1 or (all(abs(v - b) <= 1e-13 for x in sim[1:] for v, b in zip(x, best))
+                                 and all(abs(fsim[0] - fv) <= 1e-13 for fv in fsim[1:])):
+            break
+        xbar = best
+        for x in sim[1:-1]:
+            xbar = [s + v for s, v in zip(xbar, x)]
+        xbar = [s / n for s in xbar]
+        xr, fxr = move(1)  # reflection
+        if fxr < fsim[0]:
+            xe, fxe = move(2)  # expansion
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            outside = fxr < fsim[-1]
+            xc, fxc = move(0.5 if outside else -0.5)  # outside or inside contraction
+            if fxc <= fxr if outside else fxc < fsim[-1]:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                    fsim[j] = f(sim[j])
+    return np.array(sim[0])
 
 
 def _feasible_shrink(x, interior_margin: float):
@@ -380,13 +406,9 @@ def feasible_max_scan(cfg: SearchConfig | None = None, interior_margin: float = 
     top = np.argsort(objective)[-40:]
 
     def polish(x0, mu, maxiter):
-        res = minimize(
-            lambda x: -_scan_objective(x) + mu * _scan_quad_penalty(x, interior_margin),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-13, "fatol": 1e-13, "maxiter": maxiter},
+        return _nelder_mead(
+            lambda x: -_scan_objective(x) + mu * _scan_quad_penalty(x, interior_margin), x0, maxiter
         )
-        return res.x
 
     def feasible_value(x):
         projected = _feasible_shrink(x, interior_margin)

@@ -177,7 +177,15 @@ def test_search_counterexample_d3():
 def test_search_counterexample_d4():
     rep = search_counterexample(4, SearchConfig(budget=40, seed=0))
     assert rep["samples"] == 40
-    assert rep["min_ratio_observed"] > 0
+    # Pinned bit for bit: the samples are drawn in a fixed order and every
+    # sample gets the same random ALS starts.
+    assert rep["min_ratio_observed"] == 0.6843185521837628
+    assert rep["worst_entries"] == [
+        -0.34982230558169447, -0.20105852318312326, -0.46733871445335207, -0.045531670090812534,
+        0.06601382406783579, -0.5713829320418216, -0.2540209470939381, -0.16934157068351735,
+        -0.27645074143977955, 0.14388004688704933, -0.19927721833549772, 0.05243207584329889,
+        -0.4123107373029229, 0.35467025929300505, -0.21853779029575718, 0.11910576959409247,
+    ]
     with pytest.raises(UsageError):
         search_counterexample(2, SearchConfig(budget=10, seed=0))
 
@@ -216,6 +224,9 @@ def test_cli_exit_codes(capsys, monkeypatch, tmp_path):
         assert main(flags) == 2
     assert main(["search", "min-ratio-sym", "--d", "2"]) == 2
     assert main(["sweep", "diff_t", "--steps", "0"]) == 0  # an empty batch
+    for flags in (["border_ab", "--steps", "1"], ["border_ab", "--d", "1"], ["diff_t", "--steps", "-2"],
+                  ["diff_t", "--d", "1"], ["diff_t", "--d", "0"]):
+        assert main(["sweep", *flags]) == 2
     # malformed tensor files: wrong exponent length, missing "dim", bad shape
     for name, data in [
         ("exp.json", {"order": 3, "dim": 2, "coeffs": [{"exp": [1, 1], "value": 1}]}),

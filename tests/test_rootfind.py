@@ -11,6 +11,7 @@ from tensorratio.ranktwo import (
     _cos_gap_pow,
     _family_coeffs,
     canonical_params,
+    critical_equation_roots,
     extremal_spectral_norm,
     extremal_tensor,
     make_rank_two,
@@ -132,3 +133,11 @@ def test_denormal_tail_becomes_a_zero_root():
     ]
     with pytest.raises(ValueError):
         real_roots_batch([[1.0, 2.0], [0.0, 0.0]])
+
+
+def test_capped_seed_folds_into_its_root():
+    # One Newton seed wanders to the 60-step cap and stops 1.2e-8 (relative)
+    # short of the simple root -0.92425674681117 that another seed reaches;
+    # its residual passes, so it used to be reported as a third root.
+    roots = critical_equation_roots(0.24257649083905214, 1.6944987115830066, 4.9248567531692755, 8)
+    assert roots == [-0.9242567468111885, 0.24305792326648423]

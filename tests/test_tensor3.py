@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from tensorratio.tensor3 import (
     NormalForm222,
     Tensor3,
     als_spectral_norm,
+    als_spectral_norm_batch,
     embed_normal_form,
     extremal_tensor3,
     feasible_max_scan,
@@ -19,7 +21,6 @@ from tensorratio.tensor3 import (
     normal_form_feasible,
     ratio_3,
     spectral_norm_3,
-    spectral_norm_3_batch,
 )
 
 CFG = IterConfig(starts=16, tol=1e-14, seed=0)
@@ -187,10 +188,10 @@ def test_embedded_normal_forms_batch_one_sided(rng):
                 stack.append(embed_normal_form(NormalForm222(a, b, c, d)).entries)
             if len(stack) == 1000:
                 break
-    values = spectral_norm_3_batch(
+    results = als_spectral_norm_batch(
         np.array(stack), IterConfig(starts=8, tol=1e-12, max_iters=400, seed=0)
     )
-    assert np.all(values <= 1.0 + 1e-8)
+    assert all(res.value <= 1.0 + 1e-8 for res in results)
 
 
 def test_rank_two_ratio_approaches_extremal_limit():
@@ -210,6 +211,26 @@ def test_rank_two_ratio_approaches_extremal_limit():
             assert r < prev
         prev = r
     assert prev == pytest.approx(2 / 3, abs=5e-3)  # gap decays like t
+
+
+def test_nelder_mead_matches_scipy(rng):
+    # The polish of feasible_max_scan follows scipy's Nelder-Mead step for
+    # step; scipy is the reference where it is installed.
+    optimize = pytest.importorskip("scipy.optimize")
+    from tensorratio.tensor3 import _nelder_mead, _scan_objective, _scan_quad_penalty
+
+    for trial in range(60):
+        x0 = rng.uniform(-1.0, 1.0, 4)
+        if trial % 5 == 0:
+            x0[trial % 4] = 0.0  # a zero coordinate takes the other initial step
+        mu, margin, maxiter = (1e4, 1e6, 1e8)[trial % 3], (0.0, 0.01)[trial % 2], (50, 400)[trial % 2]
+
+        def f(x):
+            return -_scan_objective(x) + mu * _scan_quad_penalty(x, margin)
+
+        ref = optimize.minimize(f, x0, method="Nelder-Mead",
+                                options={"xatol": 1e-13, "fatol": 1e-13, "maxiter": maxiter})
+        assert np.array_equal(_nelder_mead(f, x0, maxiter), ref.x)
 
 
 def test_feasible_scan_rows_format():
@@ -241,17 +262,44 @@ def test_rank_two_ratio_above_bound(rng):
         T = make_rank_two_3(*(unit(rng) for _ in range(6)))
         if hyperdet(T) > 0:
             stack.append(T.entries)
-    ratios = spectral_norm_3_batch(np.array(stack), IterConfig(starts=8, tol=1e-12, max_iters=400, seed=0))
+    results = als_spectral_norm_batch(np.array(stack), IterConfig(starts=8, tol=1e-12, max_iters=400, seed=0))
+    ratios = np.array([res.value for res in results])
     ratios = ratios / np.linalg.norm(np.array(stack).reshape(len(stack), -1), axis=1)
     assert np.all(ratios > 2 / 3 - 1e-9)
 
 
 def test_batch_matches_single(rng):
     stack = np.array([rng.standard_normal((2, 2, 2)) for _ in range(20)])
-    batch = spectral_norm_3_batch(stack, IterConfig(starts=12, tol=1e-13, max_iters=2000, seed=0))
+    cfg = IterConfig(starts=12, tol=1e-13, max_iters=2000, seed=0)
+    batch = als_spectral_norm_batch(stack, cfg)
     for i in range(20):
-        single = spectral_norm_3(Tensor3(stack[i]), IterConfig(starts=12, tol=1e-13, seed=i)).value
-        assert abs(batch[i] - single) < 1e-8
+        assert batch[i].value == spectral_norm_3(Tensor3(stack[i]), cfg).value
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("max_iters", [10_000, 6])
+def test_batch_equals_single_calls(rng, shape, max_iters):
+    # A rank-one tensor leaves the stack after its second sweep and random ones
+    # later; a small max_iters leaves some at the cap, so the masking of
+    # finished tensors is exercised both ways.
+    stack = rng.standard_normal((12,) + shape)
+    stack[3] = 1.5 * functools.reduce(np.multiply.outer, [unit(rng, n) for n in shape])
+    cfg = IterConfig(starts=5, tol=1e-13, max_iters=max_iters, seed=4)
+    batch = als_spectral_norm_batch(stack, cfg)
+    assert len(batch) == len(stack)
+    for T, res in zip(stack, batch):
+        single = als_spectral_norm(T, cfg)
+        assert (res.value, res.converged, res.sweeps) == (single.value, single.converged, single.sweeps)
+        assert all(np.array_equal(f, g) for f, g in zip(res.factors, single.factors))
+    assert batch[3].converged and batch[3].sweeps == 2
+    assert batch[3].value == pytest.approx(1.5, rel=1e-12)
+    if max_iters == 6:
+        assert any(not res.converged and res.sweeps == 6 for res in batch)
+    else:
+        assert all(res.converged for res in batch)
+    assert als_spectral_norm_batch(np.zeros((0,) + shape), cfg) == []
+    with pytest.raises(ValueError):
+        als_spectral_norm_batch(np.zeros((2,) + shape), cfg)
 
 
 def test_hyperdet_stack_matches_scalar(rng):
