@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .config import IterConfig, SearchConfig
@@ -40,27 +41,34 @@ def _emit_json(obj, stream):
     stream.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert`` the text and require ``ok`` of the value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
 
 
 _FLAGS = {
     "--seed": dict(type=int, default=0, help="master seed (default 0)"),
     "--budget": dict(type=_positive_int, default=None,
                      help="samples / evaluations per case group (suite-specific default)"),
-    "--tol": dict(type=float, default=None,
+    "--tol": dict(type=_tolerance, default=None,
                   help="iteration tolerance for the heuristic solvers"),
     "--out": dict(choices=("json", "csv"), default=None,
                   help="output format (command-specific default)"),
-    "--starts": dict(type=int, default=None,
+    "--starts": dict(type=_positive_int, default=None,
                      help="multistart count for the iterative solvers/searches"),
-    "--max-iters": dict(type=int, default=None,
+    "--max-iters": dict(type=_positive_int, default=None,
                         help="per-start iteration cap for the iterative solvers"),
 }
 

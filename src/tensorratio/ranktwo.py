@@ -508,7 +508,6 @@ class MinRatioResult:
     params: RankTwoParams
     evaluations: int
     budget_exhausted: bool
-    improved: bool
     trace: list = field(default_factory=list)
 
     @property
@@ -638,13 +637,10 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
 
     best_x, best_f = None, math.inf
     best_start = None
-    first_f = None
     exhausted = False
     try:
         for i, x0 in enumerate(starts):
             f0 = f(x0)
-            if first_f is None:
-                first_f = f0
             if not math.isfinite(f0):
                 continue
             if best_start is None or f0 < best_start[1]:
@@ -694,7 +690,6 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
         params=params,
         evaluations=f.evals,
         budget_exhausted=exhausted,
-        improved=bool(first_f is not None and best_f < first_f),
         trace=trace,
     )
 

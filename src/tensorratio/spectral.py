@@ -3,9 +3,11 @@
 Two routes are provided.  For binary tensors (dim 2) the spectral norm is
 computed exactly to roundoff: critical points of the restricted form on the
 circle are the real roots of the tangential-derivative polynomial, found by
-companion-matrix eigenvalues with Newton polish.  For general dimension a
-shifted symmetric power iteration with multistart gives a monotone heuristic
-lower bound, flagged as non-exact.
+companion-matrix eigenvalues with Newton polish; a stack of forms shares one
+root isolation.  For general dimension the shifted symmetric power method
+(SS-HOPM) gives a monotone heuristic lower bound, flagged as non-exact: its
+starts and, for even order, both signs run as the rows of one stack, and each
+row leaves the stack when it stops.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def _tangential_coeffs(C: np.ndarray) -> np.ndarray:
     return Q
 
 
-def spectral_norm_binary_batch(C, tol: float = REL_MAX_TOL) -> list[MaximizerSet]:
+def spectral_norm_binary_batch(C) -> list[MaximizerSet]:
     """Binary exact solver on each row of dehomogenized coefficients c_k of p(x, y).
 
     C has shape (M, d+1); the rows share one root isolation.  Fast path for
@@ -146,7 +148,7 @@ def spectral_norm_binary_batch(C, tol: float = REL_MAX_TOL) -> list[MaximizerSet
     # maximizer hugging the axis would be double-counted through the probe.
     probe = np.abs(C[:, -1])
     values = np.maximum(root_max, probe)
-    floor = values * (1.0 - tol)
+    floor = values * (1.0 - REL_MAX_TOL)
     keep = vals >= floor[row_of]
     keep_probe = (probe >= floor) & (
         (np.abs(Q[:, -1]) <= 1e-12 * qmax) | ~(probe < root_max)
@@ -162,45 +164,47 @@ def spectral_norm_binary_batch(C, tol: float = REL_MAX_TOL) -> list[MaximizerSet
     return out
 
 
-def spectral_norm_binary_coeffs(c, tol: float = REL_MAX_TOL) -> MaximizerSet:
+def spectral_norm_binary_coeffs(c) -> MaximizerSet:
     """Binary exact solver on the dehomogenized coefficients c_k of p(x, y).
 
     The one-row case of spectral_norm_binary_batch; see spectral_norm_binary
     for the contract.
     """
-    return spectral_norm_binary_batch(np.asarray(c, dtype=float)[None], tol)[0]
+    return spectral_norm_binary_batch(np.asarray(c, dtype=float)[None])[0]
 
 
-def spectral_norm_binary(A: SymTensor, tol: float = REL_MAX_TOL) -> MaximizerSet:
+def spectral_norm_binary(A: SymTensor) -> MaximizerSet:
     """Exact-to-roundoff spectral norm of a binary symmetric tensor.
 
     Critical directions on the circle solve q(x, 1) = 0 for the tangential
     derivative q; the single remaining direction (1, 0) is always tested as
     well.  Returns the maximum of |p_A| over the candidates and every argmax
-    class within the relative tolerance ``tol``.
+    class within the relative tolerance REL_MAX_TOL.
     """
-    return spectral_norm_binary_coeffs(binary_coeffs(A), tol)
+    return spectral_norm_binary_coeffs(binary_coeffs(A))
 
 
-def count_global_maximizers(A: SymTensor, tol: float = REL_MAX_TOL) -> int:
-    """Number of antipodal classes attaining the spectral norm within ``tol``."""
-    return len(spectral_norm_binary(A, tol).points)
+def count_global_maximizers(A: SymTensor) -> int:
+    """Number of antipodal classes attaining the spectral norm within REL_MAX_TOL."""
+    return len(spectral_norm_binary(A).points)
 
 
-def _power_starts(A: SymTensor, cfg: IterConfig) -> list[np.ndarray]:
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, equal to np.linalg.norm on that row."""
+    return np.sqrt(np.vecdot(X, X))
+
+
+def _power_starts(A: SymTensor, cfg: IterConfig) -> np.ndarray:
+    """(n + starts + 1, n) unit starts: the axes, random draws, the best probe."""
     n = A.dim
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    starts = [np.eye(n)[i] for i in range(n)]
-    for _ in range(cfg.starts):
-        w = rng.standard_normal(n)
-        starts.append(w / np.linalg.norm(w))
+    draws = rng.standard_normal((cfg.starts, n))
     # One extra start: the best of a cheap probe pool, to escape the
     # near-zero-gradient region of sharply concentrated forms.
     probes = rng.standard_normal((64, n))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    best = max(probes, key=lambda w: abs(poly_eval(A, w)))
-    starts.append(best)
-    return starts
+    best = probes[np.argmax(np.abs(poly_eval(A, probes)))]
+    return np.vstack([np.eye(n), draws / _row_norms(draws)[:, None], best])
 
 
 def spectral_norm_power(A: SymTensor, cfg: IterConfig | None = None) -> MaximizerSet:
@@ -209,7 +213,8 @@ def spectral_norm_power(A: SymTensor, cfg: IterConfig | None = None) -> Maximize
     Each start iterates w <- normalize(sign * grad p_A(w) + s * w) with shift
     s = d(d-1) ||A||_F, which makes the shifted form convex so the objective
     sign * p_A(w) is nondecreasing.  For even order both signs are ascended,
-    since |p_A| maxima may hide on the negative side.
+    since |p_A| maxima may hide on the negative side.  Every start and sign
+    is one row of a stack; a row leaves the stack when it stops.
     """
     cfg = cfg or IterConfig()
     d = A.order
@@ -221,42 +226,38 @@ def spectral_norm_power(A: SymTensor, cfg: IterConfig | None = None) -> Maximize
     # A start also counts as converged once its tangential gradient vanishes
     # relative to the gradient scale d ||A||_F: it sits at a critical point.
     crit_tol = 1e-11 * d * fro
-    candidates = []
-    for w0 in _power_starts(A, cfg):
-        for sign in signs:
-            w = w0
-            f_prev = -math.inf
-            converged = False
-            for _ in range(cfg.max_iters):
-                grad = poly_grad(A, w)
-                # Homogeneity gives the value for free: p(w) = <w, grad>/d.
-                f = sign * float(w @ grad) / d
-                if f < f_prev - 1e-9 * (abs(f_prev) + fro):
-                    raise RuntimeError("power iteration lost monotonicity; shift too small")
-                f_prev = f
-                if np.linalg.norm(grad - (grad @ w) * w) < crit_tol:
-                    converged = True
-                    break
-                g = sign * grad + shift * w
-                norm_g = np.linalg.norm(g)
-                if norm_g == 0.0:
-                    converged = True
-                    break
-                w_new = g / norm_g
-                step = np.linalg.norm(w_new - w)
-                w = w_new
-                if step < cfg.tol:
-                    converged = True
-                    break
-            candidates.append((abs(poly_eval(A, w)), w, converged))
-    value = max(v for v, _, _ in candidates)
-    near = [(w, ok) for v, w, ok in candidates if v >= value * (1.0 - REL_MAX_TOL)]
-    return MaximizerSet(
-        value=float(value),
-        points=_dedup_antipodal([w for w, _ in near]),
-        is_exact=False,
-        converged=all(ok for _, ok in near),
-    )
+    starts = _power_starts(A, cfg)
+    W = np.repeat(starts, len(signs), axis=0)
+    sign = np.tile(signs, len(starts))
+    live = np.arange(len(W))
+    f_prev = np.full(len(W), -math.inf)
+    for _ in range(cfg.max_iters):
+        if not live.size:
+            break
+        w, s = W[live], sign[live]
+        grad = poly_grad(A, w)
+        # Homogeneity gives the value for free: p(w) = <w, grad>/d.
+        f = s * np.vecdot(w, grad) / d
+        if (f < f_prev - 1e-9 * (np.abs(f_prev) + fro)).any():
+            raise RuntimeError("power iteration lost monotonicity; shift too small")
+        # Each row stops at its first hit: critical point (keeps w), zero
+        # step direction (keeps w), step below tol (takes the new w).
+        moving = ~(_row_norms(grad - np.vecdot(grad, w)[:, None] * w) < crit_tol)
+        g = s[:, None] * grad + shift * w
+        norm_g = _row_norms(g)
+        moving &= norm_g != 0.0
+        w_new = g[moving] / norm_g[moving, None]
+        W[live[moving]] = w_new
+        moving[moving] = ~(_row_norms(w_new - w[moving]) < cfg.tol)
+        live, f_prev = live[moving], f[moving]
+    # Rows still live ran into the iteration cap.
+    converged = np.ones(len(W), dtype=bool)
+    converged[live] = False
+    values = np.abs(poly_eval(A, W))
+    value = values.max()
+    near = values >= value * (1.0 - REL_MAX_TOL)
+    return MaximizerSet(float(value), _dedup_antipodal(W[near]), is_exact=False,
+                        converged=bool(converged[near].all()))
 
 
 def spectral_norm(A: SymTensor, cfg: IterConfig | None = None) -> MaximizerSet:
@@ -266,22 +267,14 @@ def spectral_norm(A: SymTensor, cfg: IterConfig | None = None) -> MaximizerSet:
     return spectral_norm_power(A, cfg)
 
 
-def best_rank_one(A: SymTensor, method: str = "auto", cfg: IterConfig | None = None) -> RankOneApprox:
+def best_rank_one(A: SymTensor, cfg: IterConfig | None = None) -> RankOneApprox:
     """Best symmetric rank-one approximation lam * w^d with lam = p_A(w).
 
-    Uses the exact binary solver when dim = 2 (or method="exact"), otherwise
-    power iteration.  The residual identity
-    ||A - lam w^d||_F^2 = ||A||_F^2 - lam^2 holds for the returned pair.
+    Uses spectral_norm: exact for dim 2, power iteration otherwise.  The
+    residual identity ||A - lam w^d||_F^2 = ||A||_F^2 - lam^2 holds for the
+    returned pair.
     """
-    if method == "auto":
-        ms = spectral_norm(A, cfg)
-    elif method == "exact":
-        ms = spectral_norm_binary(A)
-    elif method == "power":
-        ms = spectral_norm_power(A, cfg)
-    else:
-        raise ValueError(f"unknown method hint {method!r}")
-    w = ms.points[0]
+    w = spectral_norm(A, cfg).points[0]
     return RankOneApprox(lam=poly_eval(A, w), w=w)
 
 

@@ -231,37 +231,38 @@ def frob_norm(A: SymTensor) -> float:
     return math.sqrt(max(frob_inner(A, A), 0.0))
 
 
-def poly_eval(A: SymTensor, u) -> float:
-    """Value of the degree-d form <A, u^d> at the (not necessarily unit) point u."""
-    u = np.asarray(u, dtype=float)
-    if u.size != A.dim:
-        raise ValueError(f"point has dim {u.size}, tensor has dim {A.dim}")
+def _stack(A: SymTensor, u) -> np.ndarray:
+    """The point u, or each row of an (S, n) stack, as an (S, n) float array."""
+    U = np.asarray(u, dtype=float)
+    if U.shape[-1:] != (A.dim,) or U.ndim > 2:
+        raise ValueError(f"point has shape {U.shape}, tensor has dim {A.dim}")
+    return U.reshape(-1, A.dim)
+
+
+def poly_eval(A: SymTensor, u) -> float | np.ndarray:
+    """Value of the form <A, u^d> at a point u (a float) or at each row of an (S, n) stack."""
+    U = _stack(A, u)
     E, vals, wts = A.arrays()
-    if E.shape[0] == 0:
-        return 0.0
-    powers = np.prod(u[None, :] ** E, axis=1)
-    return float(np.dot(wts * vals, powers))
+    powers = np.prod(U[:, None, :] ** E, axis=2)
+    values = np.vecdot(powers, wts * vals)
+    return float(values[0]) if np.ndim(u) == 1 else values
 
 
 def poly_grad(A: SymTensor, u) -> np.ndarray:
-    """Gradient of the form u -> <A, u^d>; satisfies <u, grad> = d * value."""
-    u = np.asarray(u, dtype=float)
-    if u.size != A.dim:
-        raise ValueError(f"point has dim {u.size}, tensor has dim {A.dim}")
+    """Gradient of u -> <A, u^d> at a point or each row of a stack; <u, grad> = d * value.
+
+    A stack of S points holds S x (number of exponents) x n floats per work array.
+    """
+    U = _stack(A, u)
     E, vals, wts = A.arrays()
-    m, n = E.shape
-    if m == 0:
-        return np.zeros(n)
-    P = u[None, :] ** E
-    left = np.ones((m, n))
-    right = np.ones((m, n))
-    for j in range(1, n):
-        left[:, j] = left[:, j - 1] * P[:, j - 1]
-    for j in range(n - 2, -1, -1):
-        right[:, j] = right[:, j + 1] * P[:, j + 1]
-    dpow = u[None, :] ** np.maximum(E - 1, 0)
-    grad = ((wts * vals)[:, None] * E * dpow * left * right).sum(axis=0)
-    return grad
+    P = U[:, None, :] ** E
+    # left[..., j] and right[..., j]: products of P[..., :j] and P[..., j+1:].
+    one = np.ones(P.shape[:-1] + (1,))
+    left = np.concatenate([one, np.cumprod(P[..., :-1], axis=-1)], axis=-1)
+    right = np.concatenate([np.cumprod(P[..., :0:-1], axis=-1)[..., ::-1], one], axis=-1)
+    dpow = U[:, None, :] ** np.maximum(E - 1, 0)
+    grad = ((wts * vals)[:, None] * E * dpow * left * right).sum(axis=1)
+    return grad.reshape(np.shape(u))
 
 
 @dataclass(frozen=True)

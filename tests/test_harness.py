@@ -22,7 +22,7 @@ from tensorratio.harness import (
     sweep_rows,
 )
 from tensorratio.ranktwo import classify_case, CaseTag
-from tensorratio.symtensor import SymTensor, frob_norm
+from tensorratio.symtensor import SymTensor, frob_norm, sym_rank_one
 from tensorratio.tensor3 import Tensor3
 
 
@@ -223,6 +223,12 @@ def test_cli_exit_codes(capsys, monkeypatch, tmp_path):
                   ["search", "min-ratio-sym", "--budget", "0"], ["verify", "all", "--budget", "x"]):
         assert main(flags) == 2
     assert main(["search", "min-ratio-sym", "--d", "2"]) == 2
+    # iteration flags out of range: --starts and --max-iters >= 1, --tol finite and >= 0
+    for flags in (["report", "wd:3", "--starts", "-1"], ["report", "wd:3", "--starts", "0"],
+                  ["report", "wd:3", "--max-iters", "-2"], ["report", "wd:3", "--tol", "nan"],
+                  ["report", "wd:3", "--tol", "-1e-3"], ["report", "wd:3", "--tol", "inf"],
+                  ["search", "min-ratio-sym", "--starts", "-4"]):
+        assert main(flags) == 2
     assert main(["sweep", "diff_t", "--steps", "0"]) == 0  # an empty batch
     for flags in (["border_ab", "--steps", "1"], ["border_ab", "--d", "1"], ["diff_t", "--steps", "-2"],
                   ["diff_t", "--d", "1"], ["diff_t", "--d", "0"]):
@@ -237,6 +243,9 @@ def test_cli_exit_codes(capsys, monkeypatch, tmp_path):
         path = tmp_path / name
         path.write_text(json.dumps(data))
         assert main(["report", str(path)]) == 2
+    t3 = tmp_path / "t3.json"
+    t3.write_text(json.dumps({"dims": [2, 2, 2], "entries": [0, 0, 0, 1, 0, 1, 1, 0]}))
+    assert main(["report", str(t3), "--starts", "-1"]) == 2  # was an IndexError in the ALS
     # forced failure propagates as exit code 1
     monkeypatch.setitem(
         harness.SUITES, "lemma-roots",
@@ -323,8 +332,17 @@ def test_cli_search_trace_jsonl(tmp_path, capsys):
     assert {"F", "alpha", "beta", "theta"} <= set(entry)
 
 
-def test_cli_report_starts_flag(capsys):
-    # power-iteration route honors the multistart flag
-    assert main(["report", "wd:4", "--starts", "4", "--max-iters", "5000"]) == 0
+def test_cli_report_starts_flag(tmp_path, capsys):
+    # A dim-3 file takes the power-iteration route with the iteration flags.
+    # For an orthogonally decomposable sum_i lam_i q_i^d the exact ratio is
+    # max |lam_i| / ||lam||.
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    lam = np.array([0.9, -0.7, 0.6])
+    A = sum((l * sym_rank_one(q[:, i], 4) for i, l in enumerate(lam)), SymTensor(4, 3, {}))
+    path = tmp_path / "odeco.json"
+    path.write_text(json.dumps(A.to_json_dict()))
+    assert main(["report", str(path), "--starts", "4", "--max-iters", "5000", "--seed", "7"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["method"] == "exact_binary"
+    assert out["method"] == "power"
+    exact = float(np.max(np.abs(lam)) / np.linalg.norm(lam))
+    assert exact - 1e-10 <= out["ratio"] <= exact + 1e-12

@@ -7,7 +7,9 @@ from conftest import circle_grid_max, random_binary
 from tensorratio.config import IterConfig
 from tensorratio.ranktwo import extremal_ratio, extremal_tensor
 from tensorratio.spectral import (
+    REL_MAX_TOL,
     DegenerateTensorError,
+    _dedup_antipodal,
     best_rank_one,
     binary_coeffs,
     count_global_maximizers,
@@ -18,7 +20,14 @@ from tensorratio.spectral import (
     spectral_norm_binary_coeffs,
     spectral_norm_power,
 )
-from tensorratio.symtensor import SymTensor, frob_norm, poly_eval, sym_rank_one
+from tensorratio.symtensor import (
+    SymTensor,
+    exponent_tuples,
+    frob_norm,
+    poly_eval,
+    poly_grad,
+    sym_rank_one,
+)
 
 
 def test_binary_power_direction():
@@ -99,6 +108,74 @@ def test_power_embedded_extremal():
     assert ms.value == pytest.approx(2 * (3 / 4) ** 1.5, abs=1e-10)
 
 
+def _power_reference(A, cfg):
+    """SS-HOPM one start and one sign at a time: the stacked solver's contract."""
+    n, d = A.dim, A.order
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    starts = [np.eye(n)[i] for i in range(n)]
+    for _ in range(cfg.starts):
+        w = rng.standard_normal(n)
+        starts.append(w / np.linalg.norm(w))
+    probes = rng.standard_normal((64, n))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    starts.append(max(probes, key=lambda w: abs(poly_eval(A, w))))
+    fro = frob_norm(A)
+    shift = d * max(d - 1, 1) * fro
+    crit_tol = 1e-11 * d * fro
+    candidates = []
+    for w0 in starts:
+        for sign in (1.0, -1.0) if d % 2 == 0 else (1.0,):
+            w, f_prev, converged = w0, -math.inf, False
+            for _ in range(cfg.max_iters):
+                grad = poly_grad(A, w)
+                f = sign * float(w @ grad) / d
+                assert f >= f_prev - 1e-9 * (abs(f_prev) + fro)
+                f_prev = f
+                if np.linalg.norm(grad - (grad @ w) * w) < crit_tol:
+                    converged = True
+                    break
+                g = sign * grad + shift * w
+                norm_g = np.linalg.norm(g)
+                if norm_g == 0.0:
+                    converged = True
+                    break
+                w_new = g / norm_g
+                step = np.linalg.norm(w_new - w)
+                w = w_new
+                if step < cfg.tol:
+                    converged = True
+                    break
+            candidates.append((abs(poly_eval(A, w)), w, converged))
+    value = max(v for v, _, _ in candidates)
+    near = [(w, ok) for v, w, ok in candidates if v >= value * (1.0 - REL_MAX_TOL)]
+    return value, _dedup_antipodal([w for w, _ in near]), all(ok for _, ok in near)
+
+
+def test_power_stack_matches_per_start_reference(rng):
+    # Random forms of odd and even order; a rank-one form whose axis rows stop
+    # at the first criticality test; a cap of 5 iterations, where rows stop
+    # unconverged while others are still running; and tol = 1e-8, where rows
+    # stop on the step test before the criticality test.
+    cases = []
+    for d in (3, 4, 5, 6):
+        n = 3 + d % 2
+        A = SymTensor(d, n, {e: rng.standard_normal() for e in exponent_tuples(n, d)})
+        cases += [(A, IterConfig(starts=3, seed=d)), (A, IterConfig(starts=2, max_iters=5, seed=d)),
+                  (A, IterConfig(starts=2, tol=1e-8, seed=d))]
+    cases.append((sym_rank_one([1.0, 0.0, 0.0, 0.0], 4), IterConfig(starts=3, seed=1)))
+    cases.append((sym_rank_one([0.6, 0.0, 0.8], 5), IterConfig(starts=3, max_iters=5, seed=2)))
+    seen = set()
+    for A, cfg in cases:
+        ms = spectral_norm_power(A, cfg)
+        value, points, converged = _power_reference(A, cfg)
+        assert ms.value == value
+        assert len(ms.points) == len(points)
+        assert all(np.array_equal(w, w0) for w, w0 in zip(ms.points, points))
+        assert ms.converged == converged
+        seen.add(converged)
+    assert seen == {True, False}
+
+
 def test_best_rank_one_residual(rng):
     A = 5.0 * sym_rank_one([0.8, -0.6], 4)
     appr = best_rank_one(A)
@@ -120,13 +197,11 @@ def test_best_rank_one_extremal():
     assert appr.lam == pytest.approx(poly_eval(A, appr.w), rel=1e-12)
 
 
-def test_best_rank_one_method_hints(rng):
+def test_best_rank_one_agrees_with_power(rng):
     A = random_binary(rng, 4)
-    exact = best_rank_one(A, method="exact")
-    power = best_rank_one(A, method="power", cfg=IterConfig(starts=16, seed=3))
-    assert abs(abs(exact.lam) - abs(power.lam)) < 1e-8
-    with pytest.raises(ValueError):
-        best_rank_one(A, method="bogus")
+    exact = best_rank_one(A)
+    power = spectral_norm_power(A, IterConfig(starts=16, seed=3))
+    assert abs(abs(exact.lam) - power.value) < 1e-8
 
 
 def test_ratio_and_distance():

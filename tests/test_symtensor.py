@@ -152,6 +152,13 @@ def test_poly_eval_examples(rng):
     expected = d * ((d - 1) / d) ** ((d - 1) / 2) / math.sqrt(d)
     assert poly_eval(Wd, pt) == pytest.approx(expected, rel=1e-14)
 
+    # an (S, n) stack gives each row's value, bit for bit
+    X = np.vstack([rng.standard_normal((5, 2)), 2.0 * x, pt])
+    assert np.array_equal(poly_eval(A, X), [poly_eval(A, row) for row in X])
+    assert np.array_equal(poly_eval(Wd, X), [poly_eval(Wd, row) for row in X])
+    assert poly_eval(A, X[:0]).shape == (0,)
+    assert poly_eval(SymTensor(3, 2, {}), X).tolist() == [0.0] * len(X)
+
 
 def test_poly_grad_matches_finite_differences(rng):
     h = 1e-5
@@ -169,6 +176,10 @@ def test_poly_grad_matches_finite_differences(rng):
             xm[j] -= h
             fd[j] = (poly_eval(A, xp) - poly_eval(A, xm)) / (2 * h)
         assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12) < 1e-6
+        X = np.vstack([x, rng.standard_normal((4, n))])
+        G = poly_grad(A, X)
+        assert G.shape == X.shape
+        assert all(np.array_equal(G[i], poly_grad(A, row)) for i, row in enumerate(X))
 
 
 def test_poly_grad_euler_identity(rng):
@@ -180,11 +191,21 @@ def test_poly_grad_euler_identity(rng):
         lhs = float(x @ poly_grad(A, x))
         rhs = d * poly_eval(A, x)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+        X = rng.standard_normal((6, n))
+        assert np.array_equal(np.vecdot(X, poly_grad(A, X)), [row @ poly_grad(A, row) for row in X])
 
 
 def test_poly_grad_power_case():
     A = sym_rank_one([1.0, 0.0], 3)
     assert np.allclose(poly_grad(A, [1.0, 0.0]), [3.0, 0.0])
+    X = [[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]]
+    assert np.array_equal(poly_grad(A, X), [poly_grad(A, row) for row in X])
+    assert np.allclose(poly_grad(A, X), [[3.0, 0.0], [0.0, 0.0], [12.0, 0.0]])
+    assert poly_grad(SymTensor(3, 2, {}), X).tolist() == [[0.0, 0.0]] * 3
+    with pytest.raises(ValueError):
+        poly_grad(A, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        poly_eval(A, np.ones((2, 2, 2)))
 
 
 def test_restrict_to_plane_power():
