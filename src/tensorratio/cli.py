@@ -23,6 +23,7 @@ from .harness import (
     search_min_ratio,
     sweep_rows,
 )
+from .tensor3 import ALS_CONFIG, Tensor3
 
 
 def _cell(x) -> str:
@@ -117,20 +118,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _iter_config(args) -> IterConfig | None:
+def _iter_config(args, obj) -> IterConfig:
+    """IterConfig with the given flags; with --seed alone, the solver's defaults."""
     overrides = {
         name: getattr(args, name)
         for name in ("tol", "starts", "max_iters")
         if getattr(args, name) is not None
     }
-    if not overrides:
-        return None
-    return dataclasses.replace(IterConfig(seed=args.seed), **overrides)
+    if overrides:
+        return IterConfig(seed=args.seed, **overrides)
+    return dataclasses.replace(ALS_CONFIG if isinstance(obj, Tensor3) else IterConfig(),
+                               seed=args.seed)
 
 
 def _cmd_report(args) -> int:
     obj = parse_tensor_spec(args.input)
-    rep = report_for(obj, args.input, _iter_config(args))
+    rep = report_for(obj, args.input, _iter_config(args, obj))
     data = rep.to_json_dict()
     if args.out == "csv":
         header = ["input", "method", "spectral_norm", "frob_norm", "ratio",

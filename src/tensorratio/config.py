@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -20,6 +21,14 @@ class IterConfig:
     tol: float = 1e-12
     seed: int = 0
 
+    def __post_init__(self):
+        if self.starts < 0:
+            raise ValueError(f"starts must be >= 0, got {self.starts}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -28,3 +37,9 @@ class SearchConfig:
     starts: int = 64
     budget: int = 10_000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"starts must be >= 1, got {self.starts}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")

@@ -7,6 +7,7 @@ not depend on execution order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -32,6 +33,7 @@ from .ranktwo import (
 from .spectral import binary_coeffs, spectral_norm, spectral_norm_binary, spectral_norm_binary_batch
 from .symtensor import SymTensor, frob_norm
 from .tensor3 import (
+    ALS_CONFIG,
     Tensor3,
     als_spectral_norm_batch,
     extremal_tensor3,
@@ -396,7 +398,7 @@ def _screen_ratios_3(stack: np.ndarray, bound: float, seed: int) -> np.ndarray:
     fros = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
     ratios = np.array([res.value for res in screen]) / fros
     for idx in np.nonzero(ratios <= bound + 1e-3)[0]:
-        exact = ratio_3(Tensor3(stack[idx]), IterConfig(starts=32, tol=1e-14, seed=seed))
+        exact = ratio_3(Tensor3(stack[idx]), dataclasses.replace(ALS_CONFIG, seed=seed))
         ratios[idx] = max(ratios[idx], exact)
     return ratios
 
@@ -414,7 +416,7 @@ def _suite_thm3_bound(seed: int, budget: int | None) -> SuiteResult:
         _record(failures, ratio=float(ratios[idx]), entries=stack[idx].ravel().tolist())
 
     w3 = extremal_tensor3()
-    r = ratio_3(w3, IterConfig(starts=32, tol=1e-14, seed=seed))
+    r = ratio_3(w3, dataclasses.replace(ALS_CONFIG, seed=seed))
     cases += 2
     if abs(r - 2.0 / 3.0) > 1e-8:
         _record(failures, check="extremal 2x2x2 ratio", ratio=r)
@@ -563,7 +565,7 @@ def search_counterexample(d: int, cfg: SearchConfig | None = None) -> dict:
     if d < 3:
         raise UsageError("counterexample search needs order d >= 3")
     cfg = cfg or SearchConfig()
-    samples = cfg.budget or 10_000
+    samples = cfg.budget
     bound = (1.0 - 1.0 / d) ** ((d - 1) / 2.0)
     rng = rng_for(cfg.seed, 6, d)
     if d == 3:

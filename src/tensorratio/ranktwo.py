@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import SearchConfig
 from .rootfind import real_roots_batch
-from .spectral import spectral_norm_binary_batch, spectral_norm_binary_coeffs
+from .spectral import spectral_norm_binary_batch
 from .symtensor import (
     DegenerateSpanError,
     GRAM_RTOL,
@@ -256,10 +256,19 @@ def _chart_row(alpha: float, beta: float, theta: float, d: int):
     return coeffs, one_minus_cd, _pair_frob_sq(alpha, beta, one_minus_cd)
 
 
+def _chart_batch(rows, d: int) -> list:
+    """_chart_row of each (alpha, beta, theta) in rows, solved in one stack.
+
+    Each entry is (maximizer set, 1 - cos^d, squared Frobenius norm).
+    """
+    charts = [_chart_row(alpha, beta, theta, d) for alpha, beta, theta in rows]
+    sets = spectral_norm_binary_batch(np.array([c for c, _, _ in charts]).reshape(-1, d + 1))
+    return [(ms, one_minus_cd, fro_sq) for ms, (_, one_minus_cd, fro_sq) in zip(sets, charts)]
+
+
 def _chart(alpha: float, beta: float, theta: float, d: int):
-    """_chart_row with the coefficients solved into their maximizer set."""
-    coeffs, one_minus_cd, fro_sq = _chart_row(alpha, beta, theta, d)
-    return spectral_norm_binary_coeffs(coeffs), one_minus_cd, fro_sq
+    """The one-row case of _chart_batch."""
+    return _chart_batch([(alpha, beta, theta)], d)[0]
 
 
 def _theta(p: RankTwoParams) -> float:
@@ -312,9 +321,8 @@ def _grad_core(alpha, beta, u, v, chart, d: int, lift=np.asarray, with_u: bool =
 
 def ratio_squared_batch(ps, d: int) -> list[float]:
     """ratio_squared of each parameter set in ps, all of order d, in one solve."""
-    rows = [_chart_row(p.alpha, p.beta, _theta(p), d) for p in ps]
-    sets = spectral_norm_binary_batch(np.array([coeffs for coeffs, _, _ in rows]).reshape(-1, d + 1))
-    return [ms.value**2 / fro_sq for ms, (_, _, fro_sq) in zip(sets, rows)]
+    charts = _chart_batch([(p.alpha, p.beta, _theta(p)) for p in ps], d)
+    return [ms.value**2 / fro_sq for ms, _, fro_sq in charts]
 
 
 def ratio_squared(p: RankTwoParams, d: int) -> float:
@@ -520,92 +528,167 @@ class MinRatioResult:
         }
 
 
+def _chart_or_none(x, d: int):
+    try:
+        return _chart(*x, d)
+    except ValueError:
+        return None
+
+
 class _Objective:
-    """Budgeted evaluation of the squared ratio on the (alpha, beta, theta) chart."""
+    """Budgeted evaluation of the squared ratio on the (alpha, beta, theta) chart.
+
+    Candidate sets are solved as one stack, and the budget is charged only for
+    the candidates a caller consumes, in order, as a one-at-a-time search
+    would have evaluated them.
+    """
 
     def __init__(self, d: int, budget: int):
         self.d = d
         self.budget = budget
         self.evals = 0
 
-    def __call__(self, x) -> float:
-        alpha, beta, theta = x
-        if self.evals >= self.budget:
-            raise _BudgetExhausted
-        self.evals += 1
-        if not (alpha > 0.0) or beta == 0.0 or not _THETA_MIN <= theta <= math.pi / 2:
-            return math.inf
-        try:
-            ms, _, fro_sq = _chart(alpha, beta, theta, self.d)
-        except ValueError:
-            return math.inf
-        if fro_sq <= 0.0:
-            return math.inf
-        return ms.value**2 / fro_sq
+    def solve(self, xs) -> list:
+        """Uncharged (squared ratio, chart) at each point of xs, in one stacked solve.
 
-    def grad(self, x):
-        """Chart gradient; raises NondifferentiablePointError at kinks."""
+        A point off the chart gets (inf, None), and so does a point whose solve
+        raises ValueError: a failed stack is solved again row by row, so that
+        one degenerate row does not fail its neighbours.
+        """
+        out = [(math.inf, None)] * len(xs)
+        idx = [i for i, (alpha, beta, theta) in enumerate(xs)
+               if alpha > 0.0 and beta != 0.0 and _THETA_MIN <= theta <= math.pi / 2]
+        if not idx:
+            return out
+        try:
+            charts = _chart_batch([xs[i] for i in idx], self.d)
+        except ValueError:
+            charts = [_chart_or_none(xs[i], self.d) for i in idx]
+        for i, chart in zip(idx, charts):
+            if chart is not None and chart[2] > 0.0:
+                out[i] = (chart[0].value**2 / chart[2], chart)
+        return out
+
+    def walk(self, xs):
+        """Yield solve(xs)'s entries in order, charging one evaluation per entry taken.
+
+        Only the points the budget can still pay for are solved; taking one
+        more raises _BudgetExhausted.
+        """
+        paid = xs[:self.budget - self.evals]
+        for entry in self.solve(paid):
+            self.evals += 1
+            yield entry
+        if len(paid) < len(xs):
+            raise _BudgetExhausted
+
+    def __call__(self, x) -> float:
+        return next(self.walk([x]))[0]
+
+    def grad(self, x, chart=None):
+        """Chart gradient; raises NondifferentiablePointError at kinks.
+
+        chart, when given, is solve's chart at x.
+        """
         alpha, beta, theta = x
+        if chart is None:
+            chart = _chart(alpha, beta, theta, self.d)
         c, s = math.cos(theta), math.sin(theta)
         d_alpha, d_beta, _, g_v = _grad_core(
-            alpha, beta, np.array([1.0, 0.0]), np.array([c, s]),
-            _chart(alpha, beta, theta, self.d), self.d, with_u=False,
+            alpha, beta, np.array([1.0, 0.0]), np.array([c, s]), chart, self.d, with_u=False,
         )
         # Chain rule through v = (cos theta, sin theta).
         d_theta = float(g_v @ np.array([-s, c]))
         return np.array([d_alpha, d_beta, d_theta])
 
 
+def _record(trace, start_id, step_id, fx, x):
+    trace.append({"start": start_id, "step": step_id, "F": fx,
+                  "alpha": float(x[0]), "beta": float(x[1]), "theta": float(x[2])})
+
+
 def _descend(f: _Objective, x0, f0, trace, start_id, max_steps=150):
-    """Armijo-backtracked gradient descent with coordinate-search fallback."""
-    x, fx = np.asarray(x0, dtype=float), f0
+    """Armijo-backtracked gradient descent with coordinate-search fallback.
+
+    Each step's ladder of 40 halved step sizes is one stack; the steps up to
+    the first accepted one are charged.
+    """
+    x, fx, chart = np.asarray(x0, dtype=float), f0, None
     for step_id in range(max_steps):
         try:
-            g = f.grad(x)
+            g = f.grad(x, chart)
         except NondifferentiablePointError:
             return _coordinate_search(f, x, fx, trace, start_id)
         gnorm = float(np.linalg.norm(g))
         if gnorm < 1e-14:
             break
         # Relative step sizing keeps the scale-invariant directions tame.
-        t = max(1.0, float(np.linalg.norm(x))) / gnorm
-        accepted = False
-        for _ in range(40):
-            cand = x - t * g
-            fc = f(cand)
+        steps = [max(1.0, float(np.linalg.norm(x))) / gnorm]
+        for _ in range(39):
+            steps.append(steps[-1] * 0.5)
+        cands = [x - t * g for t in steps]
+        # The accepted candidate's chart serves the next gradient.
+        for t, cand, (fc, chart) in zip(steps, cands, f.walk(cands)):
             if fc <= fx - 1e-4 * t * gnorm**2:
                 x, fx = cand, fc
-                accepted = True
-                trace.append(
-                    {"start": start_id, "step": step_id, "F": fx,
-                     "alpha": float(x[0]), "beta": float(x[1]), "theta": float(x[2])}
-                )
+                _record(trace, start_id, step_id, fx, x)
                 break
-            t *= 0.5
-        if not accepted:
+        else:
             break
     return x, fx
 
 
+def _poll(x, h: float) -> list:
+    """The six coordinate-search candidates around x, in polling order."""
+    cands = []
+    for j in range(3):
+        for direction in (1.0, -1.0):
+            cand = x.copy()
+            cand[j] = x[j] * (1.0 + direction * h) if j < 2 else x[j] + direction * h
+            cands.append(cand)
+    return cands
+
+
 def _coordinate_search(f: _Objective, x, fx, trace, start_id):
+    """Compass search with halving steps.
+
+    A poll's six candidates are one stack; after a move, the rest of the poll
+    is rebuilt around the new point and solved as a new stack.
+    """
     x = np.asarray(x, dtype=float).copy()
     h = 0.1
     while h > 1e-12:
         moved = False
-        for j in range(3):
-            for direction in (1.0, -1.0):
-                cand = x.copy()
-                cand[j] = x[j] * (1.0 + direction * h) if j < 2 else x[j] + direction * h
-                fc = f(cand)
+        k = 0
+        while k < 6:
+            cands = _poll(x, h)[k:]
+            for i, (fc, _) in enumerate(f.walk(cands)):
                 if fc < fx:
-                    x, fx, moved = cand, fc, True
-                    trace.append(
-                        {"start": start_id, "step": -1, "F": fx,
-                         "alpha": float(x[0]), "beta": float(x[1]), "theta": float(x[2])}
-                    )
+                    x, fx, moved = cands[i], fc, True
+                    _record(trace, start_id, -1, fx, x)
+                    break
+            k += i + 1
         if not moved:
             h *= 0.5
     return x, fx
+
+
+def _continuation(f: _Objective, x, fx):
+    """Halve the angle along the balanced family, greedily; yield each improvement.
+
+    Each halving's pair of candidates is one stack.
+    """
+    alpha, beta, theta = x
+    while theta / 2.0 >= _THETA_CONT:
+        mean = (alpha + abs(beta)) / 2.0
+        cands = [(alpha, beta, theta / 2.0), (mean, mean, theta / 2.0)]
+        for cand, (fc, _) in zip(cands, f.walk(cands)):
+            if fc < fx:
+                break
+        else:
+            return
+        (alpha, beta, theta), fx = cand, fc
+        yield np.array(cand), fc
 
 
 def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
@@ -648,26 +731,9 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
             x, fx = _descend(f, np.array(x0), f0, trace, i)
             if fx < best_f:
                 best_x, best_f = x, fx
-        # Continuation: halve the angle along the balanced family, greedily.
         if best_x is not None:
-            alpha, beta, theta = best_x
-            while theta / 2.0 >= _THETA_CONT:
-                mean = (alpha + abs(beta)) / 2.0
-                cands = [(alpha, beta, theta / 2.0), (mean, mean, theta / 2.0)]
-                improved_here = False
-                for cand in cands:
-                    fc = f(cand)
-                    if fc < best_f:
-                        best_x, best_f = np.array(cand), fc
-                        alpha, beta, theta = cand
-                        improved_here = True
-                        trace.append(
-                            {"start": -1, "step": -1, "F": fc, "alpha": cand[0],
-                             "beta": cand[1], "theta": cand[2]}
-                        )
-                        break
-                if not improved_here:
-                    break
+            for best_x, best_f in _continuation(f, best_x, best_f):
+                _record(trace, -1, -1, best_f, best_x)
     except _BudgetExhausted:
         exhausted = True
 

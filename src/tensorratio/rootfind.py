@@ -78,24 +78,39 @@ def _companion_seeds(core: np.ndarray) -> np.ndarray:
 
     Rows are descending coefficients with nonzero first and last entries.  A
     row whose companion overflows (a near-zero leading coefficient) is seeded
-    from the reversed polynomial, whose roots are the reciprocals.
+    from the reversed polynomial, whose roots are the reciprocals.  A row
+    whose reversed companion overflows as well (both end coefficients below
+    ~1e-308 of the largest) is seeded from p(2^s y), with s the least integer
+    that keeps the companion below 2^1001; the seeds are then 2^s y.
     """
     m, n = core.shape
     A = np.zeros((m, n - 1, n - 1))
     A[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
     with np.errstate(over="ignore"):
         A[:, 0, :] = -core[:, 1:] / core[:, :1]
-        bad = ~np.isfinite(A[:, 0, :]).all(axis=1)
-        if bad.any():
-            A[bad, 0, :] = -core[bad, -2::-1] / core[bad, -1:]
+        rev = ~np.isfinite(A[:, 0, :]).all(axis=1)
+        A[rev, 0, :] = -core[rev, -2::-1] / core[rev, -1:]
+        scaled = ~np.isfinite(A[:, 0, :]).all(axis=1)
+    rev &= ~scaled
+    if scaled.any():
+        # c_k / c_0 = (mant_k / mant_0) 2^gap_k, and p(2^s y) / (c_0 2^(s deg))
+        # has the companion entries (c_k / c_0) 2^(-k s).
+        mant, ex = np.frexp(core[scaled])
+        gap = ex[:, 1:] - ex[:, :1]
+        k = np.arange(1, n)
+        s = np.where(mant[:, 1:] != 0.0, -((1000 - gap) // k), 0).max(axis=1)
+        A[scaled, 0, :] = -np.ldexp(mant[:, 1:] / mant[:, :1], gap - k * s[:, None])
     z = np.linalg.eigvals(A)
     seeds = z.real
-    if bad.any():
-        zb = z[bad]
+    if rev.any():
+        zb = z[rev]
         nonzero = zb != 0.0
         inv = np.full(zb.shape, np.nan)
         inv[nonzero] = (1.0 / zb[nonzero]).real
-        seeds[bad] = inv
+        seeds[rev] = inv
+    if scaled.any():
+        with np.errstate(over="ignore"):
+            seeds[scaled] = np.ldexp(seeds[scaled], s[:, None])
     seeds = np.sort(seeds, axis=1)
     seeds[:, 1:][seeds[:, 1:] == seeds[:, :-1]] = np.nan
     return seeds

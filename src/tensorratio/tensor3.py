@@ -32,6 +32,10 @@ __all__ = [
     "spectral_norm_3",
 ]
 
+# Defaults of alternating maximization: more starts and a tighter tol than
+# IterConfig's.
+ALS_CONFIG = IterConfig(starts=32, tol=1e-14)
+
 
 @dataclass
 class Tensor3:
@@ -80,7 +84,7 @@ def _als(T: np.ndarray, cfg: IterConfig | None) -> list:
     whole stack, and leaves the stack once its largest objective gain over
     the starts falls below cfg.tol.
     """
-    cfg = cfg or IterConfig(starts=32, tol=1e-14)
+    cfg = cfg or ALS_CONFIG
     if T.ndim < 3:
         raise ValueError("need a tensor of order >= 2")
     if not np.all(np.any(T, axis=tuple(range(1, T.ndim)))):

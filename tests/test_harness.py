@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 import tensorratio.harness as harness
 import tensorratio.ranktwo as ranktwo
 from tensorratio.cli import main
-from tensorratio.config import SearchConfig
+from tensorratio.config import IterConfig, SearchConfig
 from tensorratio.harness import (
     SUITES,
     SuiteResult,
@@ -22,8 +23,8 @@ from tensorratio.harness import (
     sweep_rows,
 )
 from tensorratio.ranktwo import classify_case, CaseTag
-from tensorratio.symtensor import SymTensor, frob_norm, sym_rank_one
-from tensorratio.tensor3 import Tensor3
+from tensorratio.symtensor import SymTensor, exponent_tuples, frob_norm, sym_rank_one
+from tensorratio.tensor3 import ALS_CONFIG, Tensor3
 
 
 def test_parse_builtin_grammar():
@@ -163,9 +164,21 @@ def test_search_min_ratio_budget_ends_in_first_descent(monkeypatch):
     def no_chart(*args):
         raise ValueError("no chart")
 
-    monkeypatch.setattr(ranktwo, "_chart", no_chart)
+    monkeypatch.setattr(ranktwo, "_chart_batch", no_chart)
     with pytest.raises(UsageError):
         search_min_ratio(3, SearchConfig(budget=20, seed=0))
+
+
+def test_configs_reject_out_of_range_values():
+    for kw in (dict(starts=-1), dict(max_iters=0), dict(max_iters=-3), dict(tol=-1e-3),
+               dict(tol=math.nan), dict(tol=math.inf)):
+        with pytest.raises(ValueError):
+            IterConfig(**kw)
+    for kw in (dict(starts=0), dict(starts=-4), dict(budget=0), dict(budget=-1)):
+        with pytest.raises(ValueError):
+            SearchConfig(**kw)
+    IterConfig(starts=0, max_iters=1, tol=0.0)
+    SearchConfig(starts=1, budget=1)
 
 
 def test_search_counterexample_d3():
@@ -330,6 +343,27 @@ def test_cli_search_trace_jsonl(tmp_path, capsys):
     assert lines
     entry = json.loads(lines[0])
     assert {"F", "alpha", "beta", "theta"} <= set(entry)
+
+
+def test_cli_report_seed_alone(tmp_path, capsys):
+    # --seed alone reaches the heuristic solvers, which keep their own
+    # defaults: flag-free equals --seed 0, and --seed 5 draws other starts.
+    rng = np.random.default_rng(3)
+    A = SymTensor(4, 3, {e: float(rng.standard_normal()) for e in exponent_tuples(3, 4)})
+    sym = tmp_path / "sym3.json"
+    sym.write_text(json.dumps(A.to_json_dict()))
+    t3 = tmp_path / "t333.json"
+    t3.write_text(json.dumps({"dims": [3, 3, 3], "entries": rng.standard_normal(27).tolist()}))
+    for path in (sym, t3):
+        outs = []
+        for flags in ([], ["--seed", "0"], ["--seed", "5"]):
+            assert main(["report", str(path), *flags]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[2] != outs[0]
+    # The ALS defaults (32 starts, tol 1e-14) stay in force under --seed.
+    expected = report_for(parse_tensor_spec(str(t3)), str(t3), dataclasses.replace(ALS_CONFIG, seed=5))
+    assert json.loads(outs[2]) == json.loads(json.dumps(expected.to_json_dict()))
 
 
 def test_cli_report_starts_flag(tmp_path, capsys):

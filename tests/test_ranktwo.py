@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import dense_pow
+from tensorratio import ranktwo
 from tensorratio.config import SearchConfig
 from tensorratio.ranktwo import (
     BorderParams,
@@ -366,6 +368,212 @@ def test_min_ratio_search_never_below_bound():
         assert res.ratio < extremal_ratio(d) + 5e-3
     with pytest.raises(ValueError):
         min_ratio_search(2)
+
+
+class _ObjectiveReference:
+    """The one-candidate-at-a-time objective: one solve and one charge per call."""
+
+    def __init__(self, d, budget):
+        self.d = d
+        self.budget = budget
+        self.evals = 0
+
+    def __call__(self, x):
+        alpha, beta, theta = x
+        if self.evals >= self.budget:
+            raise ranktwo._BudgetExhausted
+        self.evals += 1
+        if not (alpha > 0.0) or beta == 0.0 or not ranktwo._THETA_MIN <= theta <= math.pi / 2:
+            return math.inf
+        try:
+            ms, _, fro_sq = ranktwo._chart(alpha, beta, theta, self.d)
+        except ValueError:
+            return math.inf
+        if fro_sq <= 0.0:
+            return math.inf
+        return ms.value**2 / fro_sq
+
+    def grad(self, x):
+        alpha, beta, theta = x
+        c, s = math.cos(theta), math.sin(theta)
+        d_alpha, d_beta, _, g_v = ranktwo._grad_core(
+            alpha, beta, np.array([1.0, 0.0]), np.array([c, s]),
+            ranktwo._chart(alpha, beta, theta, self.d), self.d, with_u=False,
+        )
+        return np.array([d_alpha, d_beta, float(g_v @ np.array([-s, c]))])
+
+
+def _descend_reference(f, x0, f0, trace, start_id, max_steps=150):
+    x, fx = np.asarray(x0, dtype=float), f0
+    for step_id in range(max_steps):
+        try:
+            g = f.grad(x)
+        except NondifferentiablePointError:
+            return _coordinate_search_reference(f, x, fx, trace, start_id)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm < 1e-14:
+            break
+        t = max(1.0, float(np.linalg.norm(x))) / gnorm
+        accepted = False
+        for _ in range(40):
+            cand = x - t * g
+            fc = f(cand)
+            if fc <= fx - 1e-4 * t * gnorm**2:
+                x, fx = cand, fc
+                accepted = True
+                trace.append({"start": start_id, "step": step_id, "F": fx, "alpha": float(x[0]),
+                              "beta": float(x[1]), "theta": float(x[2])})
+                break
+            t *= 0.5
+        if not accepted:
+            break
+    return x, fx
+
+
+def _coordinate_search_reference(f, x, fx, trace, start_id):
+    x = np.asarray(x, dtype=float).copy()
+    h = 0.1
+    while h > 1e-12:
+        moved = False
+        for j in range(3):
+            for direction in (1.0, -1.0):
+                cand = x.copy()
+                cand[j] = x[j] * (1.0 + direction * h) if j < 2 else x[j] + direction * h
+                fc = f(cand)
+                if fc < fx:
+                    x, fx, moved = cand, fc, True
+                    trace.append({"start": start_id, "step": -1, "F": fx, "alpha": float(x[0]),
+                                  "beta": float(x[1]), "theta": float(x[2])})
+        if not moved:
+            h *= 0.5
+    return x, fx
+
+
+def _continuation_reference(f, x, fx):
+    alpha, beta, theta = x
+    while theta / 2.0 >= ranktwo._THETA_CONT:
+        mean = (alpha + abs(beta)) / 2.0
+        for cand in [(alpha, beta, theta / 2.0), (mean, mean, theta / 2.0)]:
+            fc = f(cand)
+            if fc < fx:
+                x, fx = np.array(cand), fc
+                alpha, beta, theta = cand
+                yield x, fx
+                break
+        else:
+            return
+
+
+def _stack_ends(monkeypatch):
+    """Record (stack size, entries taken) of every stack the budget ran out in."""
+    ends = []
+    walk = ranktwo._Objective.walk
+
+    def recording_walk(self, xs):
+        taken = 0
+        try:
+            for entry in walk(self, xs):
+                taken += 1
+                yield entry
+        except ranktwo._BudgetExhausted:
+            ends.append((len(xs), taken))
+            raise
+
+    monkeypatch.setattr(ranktwo._Objective, "walk", recording_walk)
+    return ends
+
+
+def _assert_same_search(res, ref):
+    for name in ("value", "ratio", "alpha", "beta", "theta", "order", "evaluations",
+                 "budget_exhausted"):
+        assert getattr(res, name) == getattr(ref, name), name
+    assert (res.params.alpha, res.params.beta) == (ref.params.alpha, ref.params.beta)
+    assert np.array_equal(res.params.u, ref.params.u)
+    assert np.array_equal(res.params.v, ref.params.v)
+    assert json.dumps(res.trace) == json.dumps(ref.trace)
+
+
+def test_min_ratio_search_matches_sequential_reference(monkeypatch):
+    # The stacked polls, ladders and continuation pairs against the
+    # one-candidate-at-a-time search.  Small budgets end inside the first
+    # coordinate polls (the balanced starts sit on the alpha = beta kink);
+    # 10,000 evaluations reach the random starts and their Armijo ladders.
+    cases = [(d, SearchConfig(starts=16, budget=budget, seed=d))
+             for d in (3, 4, 5, 6) for budget in (1, 7, 50, 333, 2000)]
+    cases.append((3, SearchConfig(budget=10_000, seed=3)))
+    ends = _stack_ends(monkeypatch)
+    results = [min_ratio_search(d, cfg) for d, cfg in cases]
+    monkeypatch.setattr(ranktwo, "_Objective", _ObjectiveReference)
+    monkeypatch.setattr(ranktwo, "_descend", _descend_reference)
+    monkeypatch.setattr(ranktwo, "_continuation", _continuation_reference)
+    for (d, cfg), res in zip(cases, results):
+        _assert_same_search(res, min_ratio_search(d, cfg))
+    assert all(res.budget_exhausted for res in results)
+    # Every budget ran out inside a stack, and both stack kinds were cut.
+    assert len(ends) == len(cases)
+    assert any(size <= 6 and 0 < taken for size, taken in ends)
+
+
+def test_descend_matches_sequential_reference(monkeypatch):
+    # Descents from smooth starts, with budgets that end inside an Armijo
+    # ladder, run to the coordinate search, or let the descent finish.
+    ends = _stack_ends(monkeypatch)
+    for d in (3, 4, 5, 6):
+        for x0 in [(1.5, 0.5, 0.7), (2.0, -0.8, 1.2)]:
+            for budget in (2, 17, 50, 333, 600):
+                out = []
+                for f, descend in ((ranktwo._Objective(d, budget), ranktwo._descend),
+                                   (_ObjectiveReference(d, budget), _descend_reference)):
+                    trace = []
+                    try:
+                        x, fx = descend(f, np.array(x0), f(x0), trace, 0)
+                    except ranktwo._BudgetExhausted:
+                        x, fx = None, None
+                    out.append((None if x is None else x.tolist(), fx, f.evals, json.dumps(trace)))
+                assert out[0] == out[1]
+    assert any(size == 40 and 0 < taken for size, taken in ends)
+    assert any(size <= 6 and 0 < taken for size, taken in ends)
+
+
+def test_chart_batch_matches_chart():
+    # Rows the search objective would reject (alpha <= 0, beta = 0, theta off
+    # its range) are still charts; each row of the stack equals its own solve.
+    rows = [(1.3, 0.7, 0.4), (-0.5, 0.9, 1.1), (2.0, 0.0, 0.3), (1.0, 1.0, 1e-6),
+            (0.8, -1.4, 2.5), (1.0, 1.0, math.pi / 2), (3.0, 2.0, -0.2)]
+    for d in (3, 4, 7):
+        for (ms, one_minus_cd, fro_sq), row in zip(ranktwo._chart_batch(rows, d), rows):
+            ms1, one_minus_cd1, fro_sq1 = ranktwo._chart(*row, d)
+            assert (ms.value, one_minus_cd, fro_sq) == (ms1.value, one_minus_cd1, fro_sq1)
+            assert len(ms.points) == len(ms1.points)
+            assert all(np.array_equal(w, w1) for w, w1 in zip(ms.points, ms1.points))
+    assert ranktwo._chart_batch([], 4) == []
+
+
+def test_objective_stack_isolates_failed_rows():
+    # The guard rows get inf; a NaN beta fails the stacked solve, which is
+    # then solved row by row, so the other rows keep their values.
+    xs = [(1.3, 0.7, 0.4), (0.0, 0.5, 0.4), (1.2, 0.0, 0.4), (1.2, 0.5, 1e-6),
+          (1.2, 0.5, 2.0), (1.2, math.nan, 0.4), (0.9, -1.1, 1.0)]
+    f = ranktwo._Objective(4, 100)
+    with np.errstate(all="ignore"):
+        values = [fc for fc, _ in f.solve(xs)]
+    assert f.evals == 0
+    expected = [ranktwo._Objective(4, 1)(x) if i in (0, 6) else math.inf for i, x in enumerate(xs)]
+    assert values == expected
+    assert all(math.isfinite(values[i]) for i in (0, 6))
+
+
+def test_objective_walk_charges_what_it_yields():
+    f = ranktwo._Objective(3, 5)
+    xs = [(1.3, 0.7, 0.4 + 0.1 * k) for k in range(4)]
+    walk = f.walk(xs)
+    next(walk)
+    assert f.evals == 1
+    assert [fc for fc, _ in f.walk(xs)] == [ranktwo._Objective(3, 1)(x) for x in xs]
+    assert f.evals == 5
+    with pytest.raises(ranktwo._BudgetExhausted):
+        list(f.walk(xs[:1]))
+    assert f.evals == 5
 
 
 def test_border_ratio_scan():

@@ -135,6 +135,26 @@ def test_denormal_tail_becomes_a_zero_root():
         real_roots_batch([[1.0, 2.0], [0.0, 0.0]])
 
 
+def test_both_companions_overflow():
+    # First and last coefficients below ~1e-308 of the largest overflow the
+    # companion and the reversed companion; such a row is seeded from a
+    # rescaled variable, and the other rows of its stack come back unchanged.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert real_roots([1e-320, 1.0, 1e-320]) == [-1e-320]
+        assert real_roots([5e-324, 1.0, 5e-324]) == [-5e-324]
+        roots = real_roots([1e-320, 1.0, -3.0, 2.0, 1e-320])
+        assert roots[0] == pytest.approx(-5e-321, rel=1e-2)
+        assert roots[-1] == pytest.approx(2.0, rel=1e-14)
+        C = np.array([[0.0, 1.0, -3.0, 2.0], [1e-320, 0.0, 1.0, 1e-320], [1.0, 0.0, -2.0, 0.0],
+                      [1e-320, 1.0, -3.0, 1e-320]])
+        out = real_roots_batch(C)
+        assert out[0] == real_roots([1.0, -3.0, 2.0])
+        assert out[2] == real_roots([1.0, 0.0, -2.0, 0.0])
+        assert out[1] == real_roots(C[1]) and out[3] == real_roots(C[3])
+        assert out[3] == pytest.approx([0.0, 3.0], abs=1e-14)
+
+
 def test_capped_seed_folds_into_its_root():
     # One Newton seed wanders to the 60-step cap and stops 1.2e-8 (relative)
     # short of the simple root -0.92425674681117 that another seed reaches;
