@@ -11,6 +11,7 @@ functions, and a multistart infimum search for the minimal ratio.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -538,15 +539,18 @@ def _chart_or_none(x, d: int):
 class _Objective:
     """Budgeted evaluation of the squared ratio on the (alpha, beta, theta) chart.
 
+    One objective serves one run of the search: a start or the continuation.
     Candidate sets are solved as one stack, and the budget is charged only for
     the candidates a caller consumes, in order, as a one-at-a-time search
-    would have evaluated them.
+    would have evaluated them.  budget is the run's cap, which _lockstep
+    updates before each step, and trace holds (charge index, record) pairs.
     """
 
     def __init__(self, d: int, budget: int):
         self.d = d
         self.budget = budget
         self.evals = 0
+        self.trace = []
 
     def solve(self, xs) -> list:
         """Uncharged (squared ratio, chart) at each point of xs, in one stacked solve.
@@ -570,29 +574,26 @@ class _Objective:
         return out
 
     def walk(self, xs):
-        """Yield solve(xs)'s entries in order, charging one evaluation per entry taken.
+        """Yield the points of xs the budget can still pay for, and receive their solve entries.
 
-        Only the points the budget can still pay for are solved; taking one
-        more raises _BudgetExhausted.
+        Returns an iterator over those entries that charges one evaluation per
+        entry taken; taking one more raises _BudgetExhausted.  Callers write
+        ``for entry in (yield from f.walk(xs))``, and _lockstep does the solving.
         """
-        paid = xs[:self.budget - self.evals]
-        for entry in self.solve(paid):
+        paid = xs[:max(0, self.budget - self.evals)]
+        entries = yield paid
+        return self._charge(entries, len(paid) < len(xs))
+
+    def _charge(self, entries, cut: bool):
+        for entry in entries:
             self.evals += 1
             yield entry
-        if len(paid) < len(xs):
+        if cut:
             raise _BudgetExhausted
 
-    def __call__(self, x) -> float:
-        return next(self.walk([x]))[0]
-
-    def grad(self, x, chart=None):
-        """Chart gradient; raises NondifferentiablePointError at kinks.
-
-        chart, when given, is solve's chart at x.
-        """
+    def grad(self, x, chart):
+        """Chart gradient at x, whose solve gave chart; raises NondifferentiablePointError at kinks."""
         alpha, beta, theta = x
-        if chart is None:
-            chart = _chart(alpha, beta, theta, self.d)
         c, s = math.cos(theta), math.sin(theta)
         d_alpha, d_beta, _, g_v = _grad_core(
             alpha, beta, np.array([1.0, 0.0]), np.array([c, s]), chart, self.d, with_u=False,
@@ -601,24 +602,68 @@ class _Objective:
         d_theta = float(g_v @ np.array([-s, c]))
         return np.array([d_alpha, d_beta, d_theta])
 
+    def record(self, start_id, step_id, fx, x):
+        """Trace an accepted point, tagged with the charge that paid for it."""
+        self.trace.append((self.evals, {"start": start_id, "step": step_id, "F": fx,
+                                        "alpha": float(x[0]), "beta": float(x[1]),
+                                        "theta": float(x[2])}))
 
-def _record(trace, start_id, step_id, fx, x):
-    trace.append({"start": start_id, "step": step_id, "F": fx,
-                  "alpha": float(x[0]), "beta": float(x[1]), "theta": float(x[2])})
+
+def _lockstep(fs, gens, budget: int) -> list:
+    """Run each generator on its objective in lockstep, one stacked solve per round.
+
+    gens come in the order a sequential search would run them, and each yields
+    point lists through its objective's walk.  Before each step, a run's cap is
+    the budget minus what the runs before it have charged so far.  Caps only
+    shrink, so a stack cut at a cap covers every point the sequential search
+    would solve, and the caller replays the runs against the real budget.
+    Returns each generator's return value, or the _BudgetExhausted it raised.
+    """
+    results = [None] * len(gens)
+    requests = {}
+
+    def step(i, entries):
+        fs[i].budget = budget - sum(f.evals for f in fs[:i])
+        try:
+            requests[i] = gens[i].send(entries)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except _BudgetExhausted as exc:
+            results[i] = exc
+
+    for i in range(len(gens)):
+        step(i, None)
+    while requests:
+        live = sorted(requests)
+        solved = iter(fs[0].solve([x for i in live for x in requests[i]]))
+        for i in live:
+            step(i, list(itertools.islice(solved, len(requests.pop(i)))))
+    return results
 
 
-def _descend(f: _Objective, x0, f0, trace, start_id, max_steps=150):
+def _start(f: _Objective, x0, start_id):
+    """One start: its charged value at x0, then its descent.
+
+    Returns the descent's (x, F), or None when x0 is off the chart.
+    """
+    [(f0, chart)] = yield from f.walk([x0])
+    if not math.isfinite(f0):
+        return None
+    return (yield from _descend(f, np.array(x0), f0, chart, start_id))
+
+
+def _descend(f: _Objective, x0, f0, chart, start_id, max_steps=150):
     """Armijo-backtracked gradient descent with coordinate-search fallback.
 
-    Each step's ladder of 40 halved step sizes is one stack; the steps up to
-    the first accepted one are charged.
+    chart is the solve's chart at x0.  Each step's ladder of 40 halved step
+    sizes is one stack; the steps up to the first accepted one are charged.
     """
-    x, fx, chart = np.asarray(x0, dtype=float), f0, None
+    x, fx = np.asarray(x0, dtype=float), f0
     for step_id in range(max_steps):
         try:
             g = f.grad(x, chart)
         except NondifferentiablePointError:
-            return _coordinate_search(f, x, fx, trace, start_id)
+            return (yield from _coordinate_search(f, x, fx, start_id))
         gnorm = float(np.linalg.norm(g))
         if gnorm < 1e-14:
             break
@@ -628,10 +673,10 @@ def _descend(f: _Objective, x0, f0, trace, start_id, max_steps=150):
             steps.append(steps[-1] * 0.5)
         cands = [x - t * g for t in steps]
         # The accepted candidate's chart serves the next gradient.
-        for t, cand, (fc, chart) in zip(steps, cands, f.walk(cands)):
+        for t, cand, (fc, chart) in zip(steps, cands, (yield from f.walk(cands))):
             if fc <= fx - 1e-4 * t * gnorm**2:
                 x, fx = cand, fc
-                _record(trace, start_id, step_id, fx, x)
+                f.record(start_id, step_id, fx, x)
                 break
         else:
             break
@@ -649,7 +694,7 @@ def _poll(x, h: float) -> list:
     return cands
 
 
-def _coordinate_search(f: _Objective, x, fx, trace, start_id):
+def _coordinate_search(f: _Objective, x, fx, start_id):
     """Compass search with halving steps.
 
     A poll's six candidates are one stack; after a move, the rest of the poll
@@ -662,10 +707,10 @@ def _coordinate_search(f: _Objective, x, fx, trace, start_id):
         k = 0
         while k < 6:
             cands = _poll(x, h)[k:]
-            for i, (fc, _) in enumerate(f.walk(cands)):
+            for i, (fc, _) in enumerate((yield from f.walk(cands))):
                 if fc < fx:
                     x, fx, moved = cands[i], fc, True
-                    _record(trace, start_id, -1, fx, x)
+                    f.record(start_id, -1, fx, x)
                     break
             k += i + 1
         if not moved:
@@ -674,7 +719,7 @@ def _coordinate_search(f: _Objective, x, fx, trace, start_id):
 
 
 def _continuation(f: _Objective, x, fx):
-    """Halve the angle along the balanced family, greedily; yield each improvement.
+    """Halve the angle along the balanced family, greedily; record each improvement.
 
     Each halving's pair of candidates is one stack.
     """
@@ -682,13 +727,13 @@ def _continuation(f: _Objective, x, fx):
     while theta / 2.0 >= _THETA_CONT:
         mean = (alpha + abs(beta)) / 2.0
         cands = [(alpha, beta, theta / 2.0), (mean, mean, theta / 2.0)]
-        for cand, (fc, _) in zip(cands, f.walk(cands)):
+        for cand, (fc, _) in zip(cands, (yield from f.walk(cands))):
             if fc < fx:
                 break
         else:
             return
         (alpha, beta, theta), fx = cand, fc
-        yield np.array(cand), fc
+        f.record(-1, -1, fx, cand)
 
 
 def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
@@ -700,13 +745,15 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
     drift of minimizing sequences.  Returns the best value found (never a
     claim of attainment); under the sharp lower bound the result stays above
     (1 - 1/d)^(d-1).
+
+    The starts share one budget in order.  The six balanced starts run in
+    lockstep, and each random start and the continuation run alone; the
+    result is that of running every start one after another.
     """
     if d < 3:
         raise ValueError("infimum search needs order d >= 3")
     cfg = cfg or SearchConfig()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
-    f = _Objective(d, cfg.budget)
-    trace: list[dict] = []
 
     starts = []
     for t in np.geomspace(0.4, 0.02, 6):
@@ -718,30 +765,48 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
         theta = rng.uniform(0.05, math.pi / 2)
         starts.append((alpha, beta, theta))
 
+    budget, spent = cfg.budget, 0
     best_x, best_f = None, math.inf
-    best_start = None
+    trace: list[dict] = []
     exhausted = False
-    try:
-        for i, x0 in enumerate(starts):
-            f0 = f(x0)
-            if not math.isfinite(f0):
-                continue
-            if best_start is None or f0 < best_start[1]:
-                best_start = (x0, f0)
-            x, fx = _descend(f, np.array(x0), f0, trace, i)
-            if fx < best_f:
-                best_x, best_f = x, fx
+    # The balanced starts cost alike and run together.  Random starts run
+    # alone: their speculative Armijo ladders would cost more than they save.
+    groups = [list(enumerate(starts[:6]))] + [[(i, x0)] for i, x0 in enumerate(starts[6:], 6)]
+    for group in groups:
+        fs = [_Objective(d, budget) for _ in group]
+        gens = [_start(f, x0, i) for f, (i, x0) in zip(fs, group)]
+        # Replay the runs in order against the real remaining budget.
+        for f, (_, x0), result in zip(fs, group, _lockstep(fs, gens, budget - spent)):
+            cap = budget - spent
+            # A start can finish past its real cap when the starts before it
+            # charged more after it finished.
+            exhausted = isinstance(result, _BudgetExhausted) or f.evals > cap
+            trace += [rec for k, rec in f.trace if k <= cap]
+            if exhausted:
+                if best_x is None and cap > 0:
+                    # The budget ran out inside the first descent: report its start.
+                    f0 = f.solve([x0])[0][0]
+                    if math.isfinite(f0):
+                        best_x, best_f = x0, f0
+                break
+            spent += f.evals
+            if result is not None and result[1] < best_f:
+                best_x, best_f = result
+        if exhausted:
+            break
+    else:
         if best_x is not None:
-            for best_x, best_f in _continuation(f, best_x, best_f):
-                _record(trace, -1, -1, best_f, best_x)
-    except _BudgetExhausted:
-        exhausted = True
+            f = _Objective(d, budget)
+            [result] = _lockstep([f], [_continuation(f, best_x, best_f)], budget - spent)
+            exhausted = isinstance(result, _BudgetExhausted)
+            trace += [rec for _, rec in f.trace]
+            spent += f.evals
+            if f.trace:
+                rec = f.trace[-1][1]
+                best_x, best_f = (rec["alpha"], rec["beta"], rec["theta"]), rec["F"]
 
     if best_x is None:
-        # The budget ran out inside the first descent: report the best start.
-        if best_start is None:
-            raise ValueError("no start produced a finite objective within the budget")
-        best_x, best_f = best_start
+        raise ValueError("no start produced a finite objective within the budget")
     alpha, beta, theta = (float(t) for t in best_x)
     params = canonical_params(
         alpha, beta, np.array([1.0, 0.0]), np.array([math.cos(theta), math.sin(theta)]), d
@@ -754,7 +819,7 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
         theta=theta,
         order=d,
         params=params,
-        evaluations=f.evals,
+        evaluations=budget if exhausted else spent,
         budget_exhausted=exhausted,
         trace=trace,
     )

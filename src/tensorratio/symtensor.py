@@ -184,7 +184,8 @@ def _bounded_splits(e, k):
         if 0 <= k <= e[0]:
             yield (k,)
         return
-    for f0 in range(min(e[0], k), -1, -1):
+    # Below k - sum(e[1:]) the rest cannot take up the remainder.
+    for f0 in range(min(e[0], k), max(0, k - sum(e[1:])) - 1, -1):
         for rest in _bounded_splits(e[1:], k - f0):
             yield (f0,) + rest
 

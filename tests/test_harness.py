@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tensorratio.harness as harness
 import tensorratio.ranktwo as ranktwo
@@ -343,6 +346,27 @@ def test_cli_search_trace_jsonl(tmp_path, capsys):
     assert lines
     entry = json.loads(lines[0])
     assert {"F", "alpha", "beta", "theta"} <= set(entry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(-3, 10), budget=st.integers(-3, 300), starts=st.integers(-3, 70),
+       seed=st.integers(-1, 2**40))
+def test_cli_search_fuzz_exits_cleanly(d, budget, starts, seed):
+    # Out-of-range flags exit 2 with a one-line error; every other input runs
+    # within its budget.  Budget 1 and --starts 1 reach the search's edge
+    # cases: the budget ends at the first start, or 8 starts run.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["search", "min-ratio-sym", f"--d={d}", f"--budget={budget}",
+                     f"--starts={starts}", f"--seed={seed}"])
+    assert "Traceback" not in err.getvalue()
+    if d >= 3 and budget >= 1 and starts >= 1 and seed >= 0:
+        assert code == 0
+        payload = json.loads(out.getvalue())
+        assert payload["evaluations"] <= budget
+        assert payload["best_ratio"] > payload["bound_ratio"] - 1e-9
+    else:
+        assert code == 2 and out.getvalue() == ""
 
 
 def test_cli_report_seed_alone(tmp_path, capsys):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import dense_pow
-from tensorratio import ranktwo
+from tensorratio import harness, ranktwo
+from tensorratio.cli import main
 from tensorratio.config import SearchConfig
 from tensorratio.ranktwo import (
     BorderParams,
@@ -464,20 +465,75 @@ def _continuation_reference(f, x, fx):
             return
 
 
+def _min_ratio_search_reference(d, cfg, ended=None):
+    """The sequential search: every start one after another on one objective.
+
+    ended, when given, gets the index of the start the budget ran out in, or
+    -1 for the continuation.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
+    f = _ObjectiveReference(d, cfg.budget)
+    trace = []
+    starts = []
+    for t in np.geomspace(0.4, 0.02, 6):
+        scale = (1.0 + t * t) ** (d / 2.0)
+        starts.append((scale, scale, 2.0 * math.atan(t)))
+    while len(starts) < max(cfg.starts, 8):
+        alpha = math.exp(rng.normal())
+        beta = math.exp(rng.normal()) * rng.choice([1.0, -1.0])
+        theta = rng.uniform(0.05, math.pi / 2)
+        starts.append((alpha, beta, theta))
+    best_x, best_f, best_start = None, math.inf, None
+    exhausted = False
+    where = -1
+    try:
+        for where, x0 in enumerate(starts):
+            f0 = f(x0)
+            if not math.isfinite(f0):
+                continue
+            if best_start is None or f0 < best_start[1]:
+                best_start = (x0, f0)
+            x, fx = _descend_reference(f, np.array(x0), f0, trace, where)
+            if fx < best_f:
+                best_x, best_f = x, fx
+        where = -1
+        if best_x is not None:
+            for best_x, best_f in _continuation_reference(f, best_x, best_f):
+                trace.append({"start": -1, "step": -1, "F": best_f, "alpha": float(best_x[0]),
+                              "beta": float(best_x[1]), "theta": float(best_x[2])})
+    except ranktwo._BudgetExhausted:
+        exhausted = True
+        if ended is not None:
+            ended.append(where)
+    if best_x is None:
+        if best_start is None:
+            raise ValueError("no start produced a finite objective within the budget")
+        best_x, best_f = best_start
+    alpha, beta, theta = (float(t) for t in best_x)
+    params = canonical_params(alpha, beta, np.array([1.0, 0.0]),
+                              np.array([math.cos(theta), math.sin(theta)]), d)
+    return ranktwo.MinRatioResult(value=float(best_f), ratio=math.sqrt(best_f), alpha=alpha,
+                                  beta=beta, theta=theta, order=d, params=params,
+                                  evaluations=f.evals, budget_exhausted=exhausted, trace=trace)
+
+
 def _stack_ends(monkeypatch):
-    """Record (stack size, entries taken) of every stack the budget ran out in."""
+    """Record (stack size, entries taken) of every stack a run's cap cut short."""
     ends = []
     walk = ranktwo._Objective.walk
 
-    def recording_walk(self, xs):
+    def recording(entries, size):
         taken = 0
         try:
-            for entry in walk(self, xs):
+            for entry in entries:
                 taken += 1
                 yield entry
         except ranktwo._BudgetExhausted:
-            ends.append((len(xs), taken))
+            ends.append((size, taken))
             raise
+
+    def recording_walk(self, xs):
+        return recording((yield from walk(self, xs)), len(xs))
 
     monkeypatch.setattr(ranktwo._Objective, "walk", recording_walk)
     return ends
@@ -494,45 +550,103 @@ def _assert_same_search(res, ref):
 
 
 def test_min_ratio_search_matches_sequential_reference(monkeypatch):
-    # The stacked polls, ladders and continuation pairs against the
-    # one-candidate-at-a-time search.  Small budgets end inside the first
-    # coordinate polls (the balanced starts sit on the alpha = beta kink);
-    # 10,000 evaluations reach the random starts and their Armijo ladders.
+    # The lockstep balanced starts and the stacked polls, ladders and
+    # continuation pairs against the one-candidate-at-a-time search.  At
+    # d = 3 the balanced starts charge 349, 319, 367, 325, 313 and 337
+    # evaluations and the first random start 3,209 (seed 3), so the budgets
+    # below end inside each balanced start and the first random start.  At
+    # 1,600 start 4 finishes in lockstep while start 3 is still charging, and
+    # the replay finds it over its real cap.
+    # Budgets up to 333 end in the first coordinate polls (the balanced
+    # starts sit on the alpha = beta kink), and the default budget reaches
+    # later random starts and their Armijo ladders.
     cases = [(d, SearchConfig(starts=16, budget=budget, seed=d))
              for d in (3, 4, 5, 6) for budget in (1, 7, 50, 333, 2000)]
-    cases.append((3, SearchConfig(budget=10_000, seed=3)))
-    ends = _stack_ends(monkeypatch)
-    results = [min_ratio_search(d, cfg) for d, cfg in cases]
-    monkeypatch.setattr(ranktwo, "_Objective", _ObjectiveReference)
-    monkeypatch.setattr(ranktwo, "_descend", _descend_reference)
-    monkeypatch.setattr(ranktwo, "_continuation", _continuation_reference)
-    for (d, cfg), res in zip(cases, results):
-        _assert_same_search(res, min_ratio_search(d, cfg))
-    assert all(res.budget_exhausted for res in results)
-    # Every budget ran out inside a stack, and both stack kinds were cut.
-    assert len(ends) == len(cases)
-    assert any(size <= 6 and 0 < taken for size, taken in ends)
+    cases += [(3, SearchConfig(starts=16, budget=budget, seed=3))
+              for budget in (500, 850, 1200, 1600, 1850, 3600)]
+    cases += [(3, SearchConfig(budget=10_000, seed=3)),
+              (4, SearchConfig(starts=64, budget=2500, seed=700100))]
+    ended = []
+    for d, cfg in cases:
+        _assert_same_search(min_ratio_search(d, cfg), _min_ratio_search_reference(d, cfg, ended))
+    assert set(range(7)) <= set(ended) and len(ended) == len(cases)
+    # Every search that finishes its starts ends at theta = 3e-5, the
+    # evaluation floor, below the continuation's reach.  Lowering both floors
+    # once the starts are done lets the continuation improve.  With starts=1
+    # (8 starts) at d = 4 and seed 4 the starts charge 3,113 evaluations, so
+    # these budgets end inside the continuation or let it finish.
+    floor = ranktwo._THETA_MIN
+
+    def lowering_floor(continuation):
+        def run(f, x, fx):
+            monkeypatch.setattr(ranktwo, "_THETA_MIN", 1e-9)
+            return (yield from continuation(f, x, fx))
+        return run
+
+    monkeypatch.setattr(ranktwo, "_THETA_CONT", 1e-8)
+    monkeypatch.setattr(ranktwo, "_continuation", lowering_floor(ranktwo._continuation))
+    monkeypatch.setitem(globals(), "_continuation_reference",
+                        lowering_floor(_continuation_reference))
+    ended = []
+    for budget in (3114, 3124, 3200):
+        cfg = SearchConfig(starts=1, budget=budget, seed=4)
+        monkeypatch.setattr(ranktwo, "_THETA_MIN", floor)
+        res = min_ratio_search(4, cfg)
+        monkeypatch.setattr(ranktwo, "_THETA_MIN", floor)
+        _assert_same_search(res, _min_ratio_search_reference(4, cfg, ended))
+        assert sum(rec["start"] == -1 for rec in res.trace) >= min(budget - 3113, 10)
+    assert ended == [-1, -1]
+
+
+def test_min_ratio_search_stacks_the_balanced_starts(monkeypatch):
+    # The six balanced starts share one stacked solve per round: about 70
+    # solves at budget 2000, where one start at a time takes about 350.
+    calls = []
+    chart_batch = ranktwo._chart_batch
+
+    def counting(rows, d):
+        calls.append(len(rows))
+        return chart_batch(rows, d)
+
+    monkeypatch.setattr(ranktwo, "_chart_batch", counting)
+    min_ratio_search(4, SearchConfig(starts=16, budget=2000, seed=0))
+    assert len(calls) <= 80
 
 
 def test_descend_matches_sequential_reference(monkeypatch):
-    # Descents from smooth starts, with budgets that end inside an Armijo
-    # ladder, run to the coordinate search, or let the descent finish.
+    # Descents from smooth starts, each run alone through _lockstep,
+    # with budgets that end inside an Armijo ladder, run to the coordinate
+    # search, or let the descent finish.
     ends = _stack_ends(monkeypatch)
     for d in (3, 4, 5, 6):
         for x0 in [(1.5, 0.5, 0.7), (2.0, -0.8, 1.2)]:
             for budget in (2, 17, 50, 333, 600):
-                out = []
-                for f, descend in ((ranktwo._Objective(d, budget), ranktwo._descend),
-                                   (_ObjectiveReference(d, budget), _descend_reference)):
-                    trace = []
-                    try:
-                        x, fx = descend(f, np.array(x0), f(x0), trace, 0)
-                    except ranktwo._BudgetExhausted:
-                        x, fx = None, None
-                    out.append((None if x is None else x.tolist(), fx, f.evals, json.dumps(trace)))
-                assert out[0] == out[1]
+                f = ranktwo._Objective(d, budget)
+                [result] = ranktwo._lockstep([f], [ranktwo._start(f, x0, 0)], budget)
+                out = [None if isinstance(result, ranktwo._BudgetExhausted)
+                       else (result[0].tolist(), result[1]),
+                       f.evals, json.dumps([rec for _, rec in f.trace])]
+                f, trace = _ObjectiveReference(d, budget), []
+                try:
+                    x, fx = _descend_reference(f, np.array(x0), f(x0), trace, 0)
+                    ref = (x.tolist(), fx)
+                except ranktwo._BudgetExhausted:
+                    ref = None
+                assert out == [ref, f.evals, json.dumps(trace)]
     assert any(size == 40 and 0 < taken for size, taken in ends)
     assert any(size <= 6 and 0 < taken for size, taken in ends)
+
+
+def test_cli_search_matches_sequential_reference(monkeypatch, tmp_path, capsys):
+    out = []
+    for search in (min_ratio_search, _min_ratio_search_reference):
+        monkeypatch.setattr(harness, "min_ratio_search", search)
+        path = tmp_path / f"{search.__name__}.jsonl"
+        assert main(["search", "min-ratio-sym", "--d", "4", "--budget", "2000", "--starts", "16",
+                     "--trace", str(path)]) == 0
+        out.append((capsys.readouterr().out, path.read_text()))
+    assert out[0] == out[1]
+    assert out[0][1].count("\n") > 10
 
 
 def test_chart_batch_matches_chart():
@@ -558,21 +672,44 @@ def test_objective_stack_isolates_failed_rows():
     with np.errstate(all="ignore"):
         values = [fc for fc, _ in f.solve(xs)]
     assert f.evals == 0
-    expected = [ranktwo._Objective(4, 1)(x) if i in (0, 6) else math.inf for i, x in enumerate(xs)]
+    expected = [_ObjectiveReference(4, 1)(x) if i in (0, 6) else math.inf for i, x in enumerate(xs)]
     assert values == expected
     assert all(math.isfinite(values[i]) for i in (0, 6))
+
+
+def _paid_and_charge(f, walk):
+    """Drive one walk as _lockstep does: (points it asked for, its charging iterator)."""
+    try:
+        paid = next(walk)
+    except StopIteration as stop:
+        return [], stop.value
+    try:
+        walk.send(f.solve(paid))
+    except StopIteration as stop:
+        return paid, stop.value
 
 
 def test_objective_walk_charges_what_it_yields():
     f = ranktwo._Objective(3, 5)
     xs = [(1.3, 0.7, 0.4 + 0.1 * k) for k in range(4)]
-    walk = f.walk(xs)
-    next(walk)
+    expected = [_ObjectiveReference(3, 1)(x) for x in xs]
+    paid, charge = _paid_and_charge(f, f.walk(xs))
+    assert paid == xs and f.evals == 0
+    next(charge)
     assert f.evals == 1
-    assert [fc for fc, _ in f.walk(xs)] == [ranktwo._Objective(3, 1)(x) for x in xs]
-    assert f.evals == 5
+    # Four of the eight points are paid for; taking a fifth stops the budget.
+    paid, charge = _paid_and_charge(f, f.walk(xs + xs))
+    assert paid == xs
+    taken = []
     with pytest.raises(ranktwo._BudgetExhausted):
-        list(f.walk(xs[:1]))
+        for fc, _ in charge:
+            taken.append(fc)
+    assert taken == expected and f.evals == 5
+    # With nothing left to pay for, the walk asks for no points.
+    paid, charge = _paid_and_charge(f, f.walk(xs[:1]))
+    assert paid == []
+    with pytest.raises(ranktwo._BudgetExhausted):
+        next(charge)
     assert f.evals == 5
 
 

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import dense_sym_outer, to_dense
+from tensorratio import symtensor
 from tensorratio.symtensor import (
     DegenerateSpanError,
     SymTensor,
@@ -77,6 +79,17 @@ def test_sym_outer_against_dense_average(rng):
         S = sym_outer(u, k, v, l)
         assert np.allclose(to_dense(S), dense_sym_outer(u, k, v, l), atol=1e-12)
         checked += 1
+
+
+def test_bounded_splits_match_brute_force(rng):
+    # Every tuple 0 <= f <= e with sum k, in the generator's order: f_0 from
+    # high to low, then the rest the same way.
+    for _ in range(40):
+        e = tuple(int(x) for x in rng.integers(0, 6, size=int(rng.integers(1, 5))))
+        for k in range(sum(e) + 2):
+            brute = sorted((f for f in itertools.product(*(range(ei + 1) for ei in e))
+                            if sum(f) == k), reverse=True)
+            assert list(symtensor._bounded_splits(e, k)) == brute
 
 
 def test_sym_outer_examples():
