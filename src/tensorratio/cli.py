@@ -180,7 +180,7 @@ def _cmd_search(args) -> int:
         seed=args.seed,
     )
     if args.target == "min-ratio-sym":
-        payload, trace = search_min_ratio(args.d, cfg, with_trace=True)
+        payload, trace = search_min_ratio(args.d, cfg)
     else:
         payload, trace = search_counterexample(args.d, cfg), []
     if args.trace:

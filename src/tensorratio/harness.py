@@ -97,24 +97,31 @@ class RatioReport:
         }
 
 
+def _report_norm(fro: float) -> float:
+    """The Frobenius norm fro, rejected where the ratio is undefined."""
+    if fro == 0.0:
+        raise UsageError("zero tensor: report undefined")
+    if not math.isfinite(fro):
+        raise UsageError("the Frobenius norm overflows: report undefined")
+    return fro
+
+
 def report_for(obj, descriptor: str, cfg: IterConfig | None = None) -> RatioReport:
     """Full spectral/Frobenius report for a symmetric or third-order tensor."""
     if isinstance(obj, SymTensor):
-        fro = frob_norm(obj)
-        if fro == 0.0:
-            raise UsageError("zero tensor: report undefined")
+        fro = _report_norm(frob_norm(obj))
         ms = spectral_norm(obj, cfg)
         method = "exact_binary" if ms.is_exact else "power"
         value, maximizers = ms.value, list(ms.points)
     elif isinstance(obj, Tensor3):
-        fro = obj.frob_norm()
-        if fro == 0.0:
-            raise UsageError("zero tensor: report undefined")
+        fro = _report_norm(obj.frob_norm())
         res = spectral_norm_3(obj, cfg)
         value, maximizers, method = res.value, list(res.factors), "als"
     else:
         raise TypeError(f"cannot report on {type(obj).__name__}")
-    r = value / fro
+    # The spectral norm never exceeds the Frobenius norm; roundoff can put the
+    # quotient of a nearly rank-one tensor a few ulps above 1.
+    r = min(value / fro, 1.0)
     return RatioReport(
         input=descriptor,
         method=method,
@@ -138,10 +145,20 @@ def _parse_floats(body: str, arity: int, what: str) -> list[float]:
     out = []
     for pos, part in enumerate(parts):
         try:
-            out.append(float(part))
+            x = float(part)
         except ValueError:
-            raise UsageError(f"{what}: field {pos + 1} ({part!r}) is not a number") from None
+            x = math.nan
+        if not math.isfinite(x):
+            raise UsageError(f"{what}: field {pos + 1} ({part!r}) is not a finite number")
+        out.append(x)
     return out
+
+
+def _parse_order(x: float, what: str) -> int:
+    """The order field of a builtin, which must be an integral value."""
+    if not x.is_integer():
+        raise UsageError(f"{what}: order {x!r} is not an integer")
+    return int(x)
 
 
 def parse_tensor_spec(text: str):
@@ -159,7 +176,7 @@ def parse_tensor_spec(text: str):
         alpha, beta, cos_uv, d = _parse_floats(text[8:], 4, "ranktwo")
         if abs(cos_uv) > 1.0:
             raise UsageError("ranktwo: field 3 (cos of the angle) must lie in [-1, 1]")
-        d = int(d)
+        d = _parse_order(d, "ranktwo")
         u = np.array([1.0, 0.0])
         v = np.array([cos_uv, math.sqrt(max(1.0 - cos_uv * cos_uv, 0.0))])
         try:
@@ -171,7 +188,7 @@ def parse_tensor_spec(text: str):
         try:
             return make_border(
                 BorderParams(a=a, b=b, u=np.array([1.0, 0.0]), v=np.array([0.0, 1.0])),
-                int(d),
+                _parse_order(d, "border"),
             )
         except ValueError as exc:
             raise UsageError(f"border: {exc}") from None
@@ -523,11 +540,11 @@ def sweep_rows(kind: str, **kw):
 # ---------------------------------------------------------------------------
 
 
-def search_min_ratio(d: int, cfg: SearchConfig | None = None, with_trace: bool = False):
+def search_min_ratio(d: int, cfg: SearchConfig | None = None):
     """Infimum search report for the symmetric rank-two ratio at order d.
 
-    With ``with_trace`` returns (report, trace) where the trace is a list of
-    accepted-iterate records suitable for JSON-lines emission.
+    Returns (report, trace), where the trace is a list of accepted-iterate
+    records suitable for JSON-lines emission.
     """
     try:
         res = min_ratio_search(d, cfg)
@@ -551,9 +568,7 @@ def search_min_ratio(d: int, cfg: SearchConfig | None = None, with_trace: bool =
             "open lower bound approached along the recorded drift"
         ),
     }
-    if with_trace:
-        return report, res.trace
-    return report
+    return report, res.trace
 
 
 def search_counterexample(d: int, cfg: SearchConfig | None = None) -> dict:

@@ -492,7 +492,7 @@ def classify_case(p: RankTwoParams) -> CaseTag:
 # ---------------------------------------------------------------------------
 
 _THETA_MIN = 3e-5       # evaluation floor: below it the drift family is flat to roundoff
-_THETA_CONT = 1e-4      # continuation floor; still 5+ digits above solver noise
+_MAX_STEPS = 150        # gradient steps per descent
 
 
 class _BudgetExhausted(Exception):
@@ -539,7 +539,7 @@ def _chart_or_none(x, d: int):
 class _Objective:
     """Budgeted evaluation of the squared ratio on the (alpha, beta, theta) chart.
 
-    One objective serves one run of the search: a start or the continuation.
+    One objective serves one start of the search.
     Candidate sets are solved as one stack, and the budget is charged only for
     the candidates a caller consumes, in order, as a one-at-a-time search
     would have evaluated them.  budget is the run's cap, which _lockstep
@@ -652,14 +652,14 @@ def _start(f: _Objective, x0, start_id):
     return (yield from _descend(f, np.array(x0), f0, chart, start_id))
 
 
-def _descend(f: _Objective, x0, f0, chart, start_id, max_steps=150):
+def _descend(f: _Objective, x0, f0, chart, start_id):
     """Armijo-backtracked gradient descent with coordinate-search fallback.
 
     chart is the solve's chart at x0.  Each step's ladder of 40 halved step
     sizes is one stack; the steps up to the first accepted one are charged.
     """
     x, fx = np.asarray(x0, dtype=float), f0
-    for step_id in range(max_steps):
+    for step_id in range(_MAX_STEPS):
         try:
             g = f.grad(x, chart)
         except NondifferentiablePointError:
@@ -718,37 +718,19 @@ def _coordinate_search(f: _Objective, x, fx, start_id):
     return x, fx
 
 
-def _continuation(f: _Objective, x, fx):
-    """Halve the angle along the balanced family, greedily; record each improvement.
-
-    Each halving's pair of candidates is one stack.
-    """
-    alpha, beta, theta = x
-    while theta / 2.0 >= _THETA_CONT:
-        mean = (alpha + abs(beta)) / 2.0
-        cands = [(alpha, beta, theta / 2.0), (mean, mean, theta / 2.0)]
-        for cand, (fc, _) in zip(cands, (yield from f.walk(cands))):
-            if fc < fx:
-                break
-        else:
-            return
-        (alpha, beta, theta), fx = cand, fc
-        f.record(-1, -1, fx, cand)
-
-
 def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
     """Multistart minimization of the squared ratio over rank-two parameters.
 
     Hybrid scheme: projected gradient steps with Armijo backtracking where the
-    objective is smooth, derivative-free coordinate search near points with
-    multiple maximizers, and a small-angle continuation stage that follows the
-    drift of minimizing sequences.  Returns the best value found (never a
-    claim of attainment); under the sharp lower bound the result stays above
-    (1 - 1/d)^(d-1).
+    objective is smooth, and derivative-free coordinate search near points
+    with multiple maximizers, which follows the small-angle drift of
+    minimizing sequences down to the evaluation floor.  Returns the best value
+    found (never a claim of attainment); under the sharp lower bound the
+    result stays above (1 - 1/d)^(d-1).
 
     The starts share one budget in order.  The six balanced starts run in
-    lockstep, and each random start and the continuation run alone; the
-    result is that of running every start one after another.
+    lockstep, and each random start runs alone; the result is that of running
+    every start one after another.
     """
     if d < 3:
         raise ValueError("infimum search needs order d >= 3")
@@ -794,16 +776,6 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
                 best_x, best_f = result
         if exhausted:
             break
-    else:
-        if best_x is not None:
-            f = _Objective(d, budget)
-            [result] = _lockstep([f], [_continuation(f, best_x, best_f)], budget - spent)
-            exhausted = isinstance(result, _BudgetExhausted)
-            trace += [rec for _, rec in f.trace]
-            spent += f.evals
-            if f.trace:
-                rec = f.trace[-1][1]
-                best_x, best_f = (rec["alpha"], rec["beta"], rec["theta"]), rec["F"]
 
     if best_x is None:
         raise ValueError("no start produced a finite objective within the budget")

@@ -23,7 +23,6 @@ __all__ = [
     "embed_normal_form",
     "extremal_tensor3",
     "feasible_max_scan",
-    "feasible_scan_rows",
     "hyperdet",
     "hyperdet_stack",
     "make_rank_two_3",
@@ -55,7 +54,8 @@ class Tensor3:
         return self.entries.shape
 
     def frob_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        with np.errstate(over="ignore"):  # inf when the sum of squares overflows
+            return float(np.linalg.norm(self.entries))
 
     def to_json_dict(self) -> dict:
         return {"dims": list(self.entries.shape), "entries": self.entries.ravel().tolist()}
@@ -450,23 +450,3 @@ def feasible_max_scan(cfg: SearchConfig | None = None, interior_margin: float = 
         criterion_at_argmax=float(criterion),
         samples=len(pts),
     )
-
-
-def feasible_scan_rows(cfg: SearchConfig | None = None, top_k: int = 100):
-    """Top feasible normal-form samples as (header, rows) for CSV emission.
-
-    Columns: a, b, c, d, objective (the squared Frobenius norm of the
-    embedded tensor), hyperdet (the rank-two criterion d^2 + 4abc, which
-    equals the hyperdeterminant of the embedding).
-    """
-    cfg = cfg or SearchConfig(budget=100_000)
-    pts, sq, feas = _feasible_samples(cfg, 0.0)
-    pts, sq = pts[feas], sq[feas]
-    abc = pts[:, 0] * pts[:, 1] * pts[:, 2]
-    order = np.argsort(sq)[::-1][:top_k]
-    rows = [
-        [float(pts[i, 0]), float(pts[i, 1]), float(pts[i, 2]), float(pts[i, 3]),
-         float(1.0 + sq[i]), float(pts[i, 3] ** 2 + 4.0 * abc[i])]
-        for i in order
-    ]
-    return ["a", "b", "c", "d", "objective", "hyperdet"], rows

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tensorratio.harness as harness
 import tensorratio.ranktwo as ranktwo
@@ -148,7 +148,8 @@ def test_sweep_rows():
 
 
 def test_search_min_ratio_report():
-    rep = search_min_ratio(3, SearchConfig(starts=10, budget=2000, seed=0))
+    rep, trace = search_min_ratio(3, SearchConfig(starts=10, budget=2000, seed=0))
+    assert trace and {"start", "step", "F", "alpha", "beta", "theta"} == set(trace[0])
     assert rep["best_ratio"] > rep["bound_ratio"]
     assert rep["best_ratio"] - rep["bound_ratio"] < 1e-3
     assert "not attained" in rep["note"]
@@ -158,7 +159,7 @@ def test_search_min_ratio_budget_ends_in_first_descent(monkeypatch):
     # The budget runs out before the first descent returns: the best start
     # evaluated so far is reported.
     for d, budget in [(3, 1), (12, 300)]:
-        rep = search_min_ratio(d, SearchConfig(budget=budget, seed=0))
+        rep, _ = search_min_ratio(d, SearchConfig(budget=budget, seed=0))
         assert rep["budget_exhausted"] is True
         assert rep["evaluations"] == budget
         assert math.isfinite(rep["best_ratio_sq"])
@@ -367,6 +368,72 @@ def test_cli_search_fuzz_exits_cleanly(d, budget, starts, seed):
         assert payload["best_ratio"] > payload["bound_ratio"] - 1e-9
     else:
         assert code == 2 and out.getvalue() == ""
+
+
+def _report(argv):
+    """(exit code, stdout, stderr) of an in-process ``report`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_report_builtin_order_must_be_integral():
+    # The order field of ranktwo: and border: parses as a float, which must
+    # be finite and integral; 3.0 reads as 3.
+    for spec in ["ranktwo:1,0.5,0.3,nan", "ranktwo:1,0.5,0.3,inf", "border:0.3,0.5,inf",
+                 "ranktwo:1,0.5,0.3,3.7", "border:0.3,0.5,3.7", "ranktwo:1,0.5,0.3,-inf"]:
+        code, out, err = _report([spec])
+        assert (code, out) == (2, ""), spec
+        assert err.startswith("error: ") and "Traceback" not in err
+    for whole, dotted in [("ranktwo:1,0.5,0.3,3", "ranktwo:1,0.5,0.3,3.0"),
+                          ("border:0.3,0.5,4", "border:0.3,0.5,4.0")]:
+        code, out, _ = _report([whole])
+        code_dotted, out_dotted, _ = _report([dotted])
+        assert code == code_dotted == 0
+        assert out_dotted == out.replace(json.dumps(whole), json.dumps(dotted))
+
+
+def test_cli_report_rejects_overflowing_frobenius_norm(tmp_path):
+    # A tensor whose squared Frobenius norm overflows is a usage error, raised
+    # before any solver runs: no zero ratio, NaN, warning or traceback.
+    t3 = tmp_path / "t222.json"
+    t3.write_text(json.dumps({"dims": [2, 2, 2], "entries": [1e308] * 8}))
+    sym = tmp_path / "sym3.json"
+    sym.write_text(json.dumps(SymTensor(3, 3, {e: 1e308 for e in exponent_tuples(3, 3)}).to_json_dict()))
+    for spec in ["border:1e300,0,2", "border:0,1e307,3", str(t3), str(sym),
+                 "border:0,3e306,40", "ranktwo:1e307,1e307,0.3,12"]:
+        code, out, err = _report([spec])
+        assert (code, out) == (2, ""), spec
+        assert "Frobenius norm overflows" in err
+
+
+_FUZZ_FLOATS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, 1.0, 1e-8, 1e-300, 1e300, 1e308, math.nan, math.inf]).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+)
+_FUZZ_ORDERS = st.sampled_from([str(d) for d in range(1, 13)] + ["40", "3.0", "3.7", "0", "-2",
+                                                                  "nan", "inf"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["ranktwo", "border"]), fields=st.lists(_FUZZ_FLOATS, min_size=3,
+       max_size=3), order=_FUZZ_ORDERS)
+@example(kind="border", fields=[1.0, 1e-08, 0.0], order="8")
+@example(kind="ranktwo", fields=[-1e-08, 1.0, 0.6745881296958025], order="4")
+def test_cli_report_builtin_fuzz(kind, fields, order):
+    # Every builtin either reports a finite ratio in (0, 1] or is a usage
+    # error with nothing on stdout.  The examples are nearly rank-one: their
+    # computed spectral norm rounds a few ulps above the Frobenius norm.
+    spec = f"{kind}:{','.join(repr(x) for x in fields[:3 if kind == 'ranktwo' else 2])},{order}"
+    code, out, err = _report([spec])
+    assert "Traceback" not in err
+    if code == 0:
+        ratio = json.loads(out)["ratio"]
+        assert math.isfinite(ratio) and 0.0 < ratio <= 1.0, spec
+    else:
+        assert (code, out) == (2, ""), spec
 
 
 def test_cli_report_seed_alone(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import itertools
 import math
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dense_sym_outer, to_dense
 from tensorratio import symtensor
@@ -262,3 +265,13 @@ def test_arithmetic_and_json_roundtrip(rng):
     D = SymTensor.from_json_dict(data)
     assert frob_norm(C - D) == 0.0
     assert data["order"] == 3 and data["dim"] == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), order=st.integers(1, 6), dim=st.integers(1, 3))
+def test_json_round_trip_is_bit_exact(data, order, dim):
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    A = SymTensor(order, dim, {e: data.draw(values) for e in exponent_tuples(dim, order)})
+    B = SymTensor.from_json_dict(json.loads(json.dumps(A.to_json_dict())))
+    assert (B.order, B.dim) == (A.order, A.dim)
+    assert sorted((e, v.hex()) for e, v in B.items()) == sorted((e, v.hex()) for e, v in A.items())

@@ -1,8 +1,10 @@
 import functools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorratio.config import IterConfig, SearchConfig
 from tensorratio.spectral import spectral_norm_binary
@@ -233,17 +235,17 @@ def test_nelder_mead_matches_scipy(rng):
         assert np.array_equal(_nelder_mead(f, x0, maxiter), ref.x)
 
 
-def test_feasible_scan_rows_format():
-    from tensorratio.tensor3 import feasible_scan_rows
+def test_feasible_samples_mask():
+    from tensorratio.tensor3 import _feasible_samples
 
-    header, rows = feasible_scan_rows(SearchConfig(budget=20_000, seed=0), top_k=50)
-    assert header == ["a", "b", "c", "d", "objective", "hyperdet"]
-    assert len(rows) == 50
-    for a, b, c, d, objective, hd in rows:
-        assert normal_form_feasible(a, b, c, d, slack=1e-9)
-        assert hd >= 0.0
-        assert objective == pytest.approx(1 + a * a + b * b + c * c + d * d, rel=1e-12)
-        assert objective < 2.25 + 1e-9
+    for margin in (0.0, 0.01):
+        pts, sq, feas = _feasible_samples(SearchConfig(budget=20_000, seed=0), margin)
+        assert pts.shape == (20_000, 4) and 0 < feas.sum() < len(pts)
+        assert sq == pytest.approx(np.sum(pts * pts, axis=1), rel=1e-15)
+        for (a, b, c, d), inside in zip(pts, feas):
+            criterion = d * d + 4.0 * a * b * c
+            assert inside == (normal_form_feasible(a, b, c, d, slack=0.0) and criterion >= margin)
+        assert np.all(1.0 + sq[feas] < 2.25 + 1e-9)
 
 
 def test_make_rank_two_3(rng):
@@ -320,3 +322,14 @@ def test_feasible_max_scan():
     assert interior.value < 2.25 - 1e-3
     trivial = NormalForm222(0.0, 0.0, 0.0, 0.0)
     assert normal_form_feasible(trivial.a, trivial.b, trivial.c, trivial.d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dims=st.tuples(*[st.integers(1, 3)] * 3))
+def test_json_round_trip_is_bit_exact(data, dims):
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    T = Tensor3(np.array(data.draw(st.lists(values, min_size=math.prod(dims),
+                                            max_size=math.prod(dims)))).reshape(dims))
+    back = Tensor3.from_json_dict(json.loads(json.dumps(T.to_json_dict())))
+    assert back.dims == T.dims
+    assert back.entries.tobytes() == T.entries.tobytes()
