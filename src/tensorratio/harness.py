@@ -77,24 +77,26 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class RatioReport:
+    """A ratio report with its provenance: whether the spectral norm is exact,
+    whether its solver converged, and its step count (power iteration steps
+    or ALS sweeps; None for the exact solver)."""
+
     input: str
     method: str
+    is_exact: bool
+    converged: bool
     spectral_norm: float
     frob_norm: float
     ratio: float
     relative_distance: float
     maximizers: list
+    iterations: int | None = None
+    sweeps: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "method": self.method,
-            "spectral_norm": self.spectral_norm,
-            "frob_norm": self.frob_norm,
-            "ratio": self.ratio,
-            "relative_distance": self.relative_distance,
-            "maximizers": [[float(x) for x in w] for w in self.maximizers],
-        }
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["maximizers"] = [[float(x) for x in w] for w in self.maximizers]
+        return {k: v for k, v in out.items() if v is not None}
 
 
 def _report_norm(fro: float) -> float:
@@ -112,11 +114,13 @@ def report_for(obj, descriptor: str, cfg: IterConfig | None = None) -> RatioRepo
         fro = _report_norm(frob_norm(obj))
         ms = spectral_norm(obj, cfg)
         method = "exact_binary" if ms.is_exact else "power"
-        value, maximizers = ms.value, list(ms.points)
+        value, maximizers, is_exact = ms.value, list(ms.points), ms.is_exact
+        steps = {"iterations": ms.iterations}
     elif isinstance(obj, Tensor3):
         fro = _report_norm(obj.frob_norm())
-        res = spectral_norm_3(obj, cfg)
-        value, maximizers, method = res.value, list(res.factors), "als"
+        ms = spectral_norm_3(obj, cfg)
+        value, maximizers, method, is_exact = ms.value, list(ms.factors), "als", False
+        steps = {"sweeps": ms.sweeps}
     else:
         raise TypeError(f"cannot report on {type(obj).__name__}")
     # The spectral norm never exceeds the Frobenius norm; roundoff can put the
@@ -125,11 +129,14 @@ def report_for(obj, descriptor: str, cfg: IterConfig | None = None) -> RatioRepo
     return RatioReport(
         input=descriptor,
         method=method,
+        is_exact=is_exact,
+        converged=ms.converged,
         spectral_norm=value,
         frob_norm=fro,
         ratio=r,
         relative_distance=math.sqrt(max(1.0 - r * r, 0.0)),
         maximizers=maximizers,
+        **steps,
     )
 
 
@@ -205,7 +212,7 @@ def parse_tensor_spec(text: str):
     if kind is not None:
         try:
             return kind.from_json_dict(data)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise UsageError(f"{text}: malformed tensor file: {exc!r}") from None
     raise UsageError(f"{text}: expected a 'coeffs' (symmetric) or 'entries' (dense) tensor file")
 

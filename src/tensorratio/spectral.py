@@ -7,7 +7,9 @@ companion-matrix eigenvalues with Newton polish; a stack of forms shares one
 root isolation.  For general dimension the shifted symmetric power method
 (SS-HOPM) gives a monotone heuristic lower bound, flagged as non-exact: its
 starts and, for even order, both signs run as the rows of one stack, and each
-row leaves the stack when it stops.
+row leaves the stack when it stops.  Each row's shift adapts to the Hessian
+at its iterate (Kolda & Mayo, SIAM J. Matrix Anal. Appl. 35, 2014), with the
+global shift d(d-1) ||A||_F as the fallback for a step that does not ascend.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .config import IterConfig
 from .rootfind import real_roots_batch
-from .symtensor import SymTensor, frob_norm, poly_eval, poly_grad
+from .symtensor import SymTensor, frob_norm, poly_eval, poly_grad, poly_hess
 
 __all__ = [
     "DegenerateTensorError",
@@ -42,6 +44,9 @@ __all__ = [
 REL_MAX_TOL = 1e-9
 # Two unit maximizers are the same antipodal class when min ||w1 -+ w2|| < this.
 ANTIPODAL_TOL = 1e-6
+# Least curvature the adaptive SS-HOPM shift leaves on the ||A||_F-normalized
+# scale, so that the shifted form is strictly convex near the iterate.
+_SHIFT_FLOOR = 1e-6
 
 
 class DegenerateTensorError(ValueError):
@@ -56,6 +61,8 @@ class MaximizerSet:
     points: list = field(default_factory=list)
     is_exact: bool = True
     converged: bool = True
+    # Stacked power-iteration steps; None for the exact solver.
+    iterations: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,14 +214,25 @@ def _power_starts(A: SymTensor, cfg: IterConfig) -> np.ndarray:
     return np.vstack([np.eye(n), draws / _row_norms(draws)[:, None], best])
 
 
+def _unit_rows(G: np.ndarray) -> np.ndarray:
+    """Each row of G divided by its norm; zero rows stay zero."""
+    norms = _row_norms(G)
+    return G / np.where(norms == 0.0, 1.0, norms)[:, None]
+
+
 def spectral_norm_power(A: SymTensor, cfg: IterConfig | None = None) -> MaximizerSet:
     """Shifted symmetric power iteration, multistart; flagged is_exact=False.
 
-    Each start iterates w <- normalize(sign * grad p_A(w) + s * w) with shift
-    s = d(d-1) ||A||_F, which makes the shifted form convex so the objective
-    sign * p_A(w) is nondecreasing.  For even order both signs are ascended,
-    since |p_A| maxima may hide on the negative side.  Every start and sign
-    is one row of a stack; a row leaves the stack when it stops.
+    Each start ascends sign * p_A by w <- normalize(sign * grad p_A(w) + a * w)
+    with an adaptive shift: a = max(0, tau ||A||_F - lambda_min) for the
+    smallest eigenvalue lambda_min of sign * Hess p_A(w), the least shift
+    that makes sign * p_A + a/2 ||x||^2 convex near w.  A step that does not
+    ascend is retaken with the global shift d(d-1) ||A||_F, under which the
+    shifted form is convex on the whole ball, so sign * p_A(w) is
+    nondecreasing.  For even order both signs are ascended, since |p_A|
+    maxima may hide on the negative side.  Every start and sign is one row
+    of a stack; a row leaves the stack when it stops.  The result's
+    iterations counts the stacked steps until the last row stopped.
     """
     cfg = cfg or IterConfig()
     d = A.order
@@ -231,9 +249,9 @@ def spectral_norm_power(A: SymTensor, cfg: IterConfig | None = None) -> Maximize
     sign = np.tile(signs, len(starts))
     live = np.arange(len(W))
     f_prev = np.full(len(W), -math.inf)
-    for _ in range(cfg.max_iters):
-        if not live.size:
-            break
+    iterations = 0
+    while live.size and iterations < cfg.max_iters:
+        iterations += 1
         w, s = W[live], sign[live]
         grad = poly_grad(A, w)
         # Homogeneity gives the value for free: p(w) = <w, grad>/d.
@@ -243,12 +261,17 @@ def spectral_norm_power(A: SymTensor, cfg: IterConfig | None = None) -> Maximize
         # Each row stops at its first hit: critical point (keeps w), zero
         # step direction (keeps w), step below tol (takes the new w).
         moving = ~(_row_norms(grad - np.vecdot(grad, w)[:, None] * w) < crit_tol)
-        g = s[:, None] * grad + shift * w
-        norm_g = _row_norms(g)
-        moving &= norm_g != 0.0
-        w_new = g[moving] / norm_g[moving, None]
-        W[live[moving]] = w_new
-        moving[moving] = ~(_row_norms(w_new - w[moving]) < cfg.tol)
+        live, w, s, grad, f = live[moving], w[moving], s[moving], grad[moving], f[moving]
+        # lam is taken on the ||A||_F-normalized scale, where it lies within
+        # +-d(d-1), so the shift never exceeds (tau + d(d-1)) ||A||_F.
+        lam = np.linalg.eigvalsh(poly_hess(A, w) * (s / fro)[:, None, None])[:, 0]
+        step = _unit_rows(s[:, None] * grad + (fro * np.maximum(0.0, _SHIFT_FLOOR - lam))[:, None] * w)
+        # A row whose adaptive step does not ascend takes the global step.
+        back = ~(s * poly_eval(A, step) >= f - 1e-9 * (np.abs(f) + fro))
+        step[back] = _unit_rows(s[back, None] * grad[back] + shift * w[back])
+        moving = step.any(axis=1)
+        W[live[moving]] = step[moving]
+        moving[moving] = ~(_row_norms(step[moving] - w[moving]) < cfg.tol)
         live, f_prev = live[moving], f[moving]
     # Rows still live ran into the iteration cap.
     converged = np.ones(len(W), dtype=bool)
@@ -257,7 +280,7 @@ def spectral_norm_power(A: SymTensor, cfg: IterConfig | None = None) -> Maximize
     value = values.max()
     near = values >= value * (1.0 - REL_MAX_TOL)
     return MaximizerSet(float(value), _dedup_antipodal(W[near]), is_exact=False,
-                        converged=bool(converged[near].all()))
+                        converged=bool(converged[near].all()), iterations=iterations)
 
 
 def spectral_norm(A: SymTensor, cfg: IterConfig | None = None) -> MaximizerSet:

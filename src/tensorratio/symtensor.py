@@ -26,6 +26,7 @@ __all__ = [
     "multi_weight",
     "poly_eval",
     "poly_grad",
+    "poly_hess",
     "restrict_to_plane",
     "sym_outer",
     "sym_rank_one",
@@ -67,7 +68,7 @@ class SymTensor:
     module returns a new tensor.  Exponents with zero value may be omitted.
     """
 
-    __slots__ = ("order", "dim", "_coeffs", "_cache")
+    __slots__ = ("order", "dim", "_coeffs", "_cache", "_hess_cache")
 
     def __init__(self, order: int, dim: int, coeffs: dict):
         if order < 1:
@@ -92,6 +93,7 @@ class SymTensor:
         self.dim = dim
         self._coeffs = clean
         self._cache = None
+        self._hess_cache = None
 
     def coeff(self, exp) -> float:
         """Representative entry at the given exponent (0.0 if absent)."""
@@ -113,6 +115,28 @@ class SymTensor:
             wts = np.array([float(multi_weight(e)) for e in exps])
             self._cache = (E, vals, wts)
         return self._cache
+
+    def hess_arrays(self):
+        """Cached (monomials, coefficients) arrays for vectorized Hessians.
+
+        monomials is the sorted (m, dim) array of the exponents of order - 2
+        that second derivatives of the stored entries reach; entry (i, j) of
+        the Hessian of u -> <A, u^d> is the sum over r of
+        coefficients[i, j, r] * prod(u ** monomials[r]).
+        """
+        if self._hess_cache is None:
+            E, vals, wts = self.arrays()
+            eye = np.eye(self.dim, dtype=np.int64)
+            # Entry k's second derivative in (i, j): coefficient and monomial.
+            coef = (wts * vals)[:, None, None] * E[:, :, None] * (E[:, None, :] - eye)
+            F = E[:, None, None, :] - eye[:, None, :] - eye[None, :, :]
+            hit = (F >= 0).all(axis=-1)
+            M, r = np.unique(F[hit].reshape(-1, self.dim), axis=0, return_inverse=True)
+            C = np.zeros((self.dim, self.dim, len(M)))
+            _, i, j = np.nonzero(hit)
+            C[i, j, r.ravel()] = coef[hit]
+            self._hess_cache = (M, C)
+        return self._hess_cache
 
     def _check_compatible(self, other):
         if not isinstance(other, SymTensor):
@@ -264,6 +288,15 @@ def poly_grad(A: SymTensor, u) -> np.ndarray:
     dpow = U[:, None, :] ** np.maximum(E - 1, 0)
     grad = ((wts * vals)[:, None] * E * dpow * left * right).sum(axis=1)
     return grad.reshape(np.shape(u))
+
+
+def poly_hess(A: SymTensor, u) -> np.ndarray:
+    """Hessian of u -> <A, u^d> at a point, (n, n), or at each row of a stack, (S, n, n)."""
+    U = _stack(A, u)
+    M, C = A.hess_arrays()
+    mono = np.prod(U[:, None, :] ** M, axis=2)
+    hess = np.vecdot(mono[:, None, None, :], C)
+    return hess.reshape(np.shape(u)[:-1] + (A.dim, A.dim))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tensorratio.symtensor import SymTensor
+
+# Solver calls take tens of milliseconds and vary with the host's load, so no
+# hypothesis example gets a deadline.
+settings.register_profile("tensorratio", deadline=None)
+settings.load_profile("tensorratio")
 
 
 def to_dense(A: SymTensor) -> np.ndarray:

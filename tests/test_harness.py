@@ -219,6 +219,24 @@ def test_cli_report_json(capsys):
     assert out["method"] == "exact_binary"
 
 
+def test_cli_report_provenance(tmp_path, capsys):
+    # Every report says whether its value is exact and whether its solver
+    # converged; power iteration adds its step count, ALS its sweep count.
+    sym = tmp_path / "sym3.json"
+    sym.write_text(json.dumps(sym_rank_one([0.6, 0.0, 0.8], 4).to_json_dict()))
+    t3 = tmp_path / "t222.json"
+    t3.write_text(json.dumps({"dims": [2, 2, 2], "entries": [1, 0, 0, 1, 0, 1, 1, 0]}))
+    for spec, method, steps in [("wd:3", "exact_binary", set()), (str(sym), "power", {"iterations"}),
+                                (str(t3), "als", {"sweeps"})]:
+        assert main(["report", spec]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["method"] == method
+        assert out["is_exact"] is (method == "exact_binary")
+        assert out["converged"] is True
+        assert set(out) & {"iterations", "sweeps"} == steps
+        assert all(isinstance(out[k], int) and out[k] >= 1 for k in steps)
+
+
 def test_cli_report_csv(capsys):
     assert main(["report", "wd:4", "--out", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -349,7 +367,7 @@ def test_cli_search_trace_jsonl(tmp_path, capsys):
     assert {"F", "alpha", "beta", "theta"} <= set(entry)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(d=st.integers(-3, 10), budget=st.integers(-3, 300), starts=st.integers(-3, 70),
        seed=st.integers(-1, 2**40))
 def test_cli_search_fuzz_exits_cleanly(d, budget, starts, seed):
@@ -417,7 +435,7 @@ _FUZZ_ORDERS = st.sampled_from([str(d) for d in range(1, 13)] + ["40", "3.0", "3
                                                                   "nan", "inf"])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(kind=st.sampled_from(["ranktwo", "border"]), fields=st.lists(_FUZZ_FLOATS, min_size=3,
        max_size=3), order=_FUZZ_ORDERS)
 @example(kind="border", fields=[1.0, 1e-08, 0.0], order="8")
@@ -434,6 +452,83 @@ def test_cli_report_builtin_fuzz(kind, fields, order):
         assert math.isfinite(ratio) and 0.0 < ratio <= 1.0, spec
     else:
         assert (code, out) == (2, ""), spec
+
+
+_FILE_FLOATS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, 1e-300, 1e-8, 1.0, 1e150, 1e300, math.inf]).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+    st.just(math.nan),
+)
+
+
+def _drop_key(key):
+    return lambda item: {k: v for k, v in item.items() if k != key}
+
+
+# Each defect rewrites one entry of the coeffs list of a symmetric tensor file.
+_ENTRY_DEFECTS = [
+    lambda item: item | {"exp": item["exp"] + [0]},
+    lambda item: item | {"exp": [-1] + item["exp"][1:]},
+    lambda item: item | {"exp": [item["exp"][0] + 1] + item["exp"][1:]},
+    lambda item: item | {"exp": ["x"] + item["exp"][1:]},
+    lambda item: item | {"exp": 1.5},
+    lambda item: item | {"exp": None},
+    lambda item: item | {"value": "abc"},
+    lambda item: item | {"value": None},
+    lambda item: item | {"value": 10**400},
+    lambda item: item | {"value": [1.0]},
+    _drop_key("exp"),
+    _drop_key("value"),
+    lambda item: item["value"],
+]
+# Each defect replaces the whole coeffs field.
+_COEFFS_DEFECTS = [5, None, "coeffs", {"exp": [3, 0, 0], "value": 1.0}, [1, 2]]
+
+
+def test_cli_report_rejects_malformed_symmetric_file(tmp_path):
+    # Each defect alone is a usage error; a huge JSON integer value used to
+    # escape as an OverflowError traceback.
+    good = {"order": 3, "dim": 3, "coeffs": [{"exp": [3, 0, 0], "value": 1.0},
+                                             {"exp": [1, 1, 1], "value": -0.5}]}
+    files = [good | {"coeffs": [defect(good["coeffs"][0]), good["coeffs"][1]]} for defect in _ENTRY_DEFECTS]
+    files += [good | {"coeffs": coeffs} for coeffs in _COEFFS_DEFECTS]
+    for payload in files:
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = _report([str(path)])
+        assert (code, out) == (2, ""), payload
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@settings(max_examples=150)
+@given(dim=st.sampled_from([3, 4]), order=st.integers(1, 5), data=st.data())
+def test_cli_report_symmetric_file_fuzz(dim, order, data, tmp_path_factory):
+    # A symmetric tensor file either reports a finite ratio in (0, 1] with
+    # its convergence status, or is a usage error with nothing on stdout.
+    # Entries span zero, tiny, huge and non-finite values; some files have
+    # one malformed entry or a malformed coeffs field.  Forms whose entries
+    # span 150 decades have directions so flat that rows crawl to the
+    # iteration cap, so the cap is lowered to keep examples fast.
+    coeffs = [{"exp": list(e), "value": data.draw(_FILE_FLOATS)}
+              for e in exponent_tuples(dim, order) if data.draw(st.booleans())]
+    kind = data.draw(st.sampled_from(["clean", "clean", "entry", "coeffs"]))
+    if kind == "entry" and coeffs:
+        i = data.draw(st.integers(0, len(coeffs) - 1))
+        coeffs[i] = data.draw(st.sampled_from(_ENTRY_DEFECTS))(coeffs[i])
+    elif kind == "coeffs":
+        coeffs = data.draw(st.sampled_from(_COEFFS_DEFECTS))
+    path = tmp_path_factory.mktemp("fuzz") / "sym.json"
+    path.write_text(json.dumps({"order": order, "dim": dim, "coeffs": coeffs}))
+    code, out, err = _report([str(path), "--max-iters", "200"])
+    assert "Traceback" not in err
+    if code == 0:
+        report = json.loads(out)
+        assert math.isfinite(report["ratio"]) and 0.0 < report["ratio"] <= 1.0
+        assert isinstance(report["converged"], bool)
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 def test_cli_report_seed_alone(tmp_path, capsys):

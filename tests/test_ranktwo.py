@@ -75,7 +75,7 @@ def test_canonical_params_orientation(rng):
 _SCALARS = st.floats(0.05, 20.0).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(d=st.integers(3, 8), alpha=_SCALARS, beta=_SCALARS, phi=st.floats(0.0, 2.0 * math.pi),
        gap=st.floats(0.05, math.pi - 0.05), su=_SCALARS, sv=_SCALARS)
 def test_canonical_params_keeps_both_norms(d, alpha, beta, phi, gap, su, sv):

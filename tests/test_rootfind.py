@@ -97,7 +97,7 @@ def test_far_roots_without_overflow():
         assert np.allclose(ms.points, [[1.0, 0.0]], rtol=0, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(1, 9).flatmap(
         lambda n: st.lists(

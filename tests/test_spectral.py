@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circle_grid_max, random_binary
+from conftest import circle_grid_max, random_binary, to_dense
 from tensorratio.config import IterConfig
-from tensorratio.ranktwo import extremal_ratio, extremal_tensor
+from tensorratio.ranktwo import extremal_ratio, extremal_spectral_norm, extremal_tensor
 from tensorratio.spectral import (
     REL_MAX_TOL,
     DegenerateTensorError,
@@ -26,6 +26,7 @@ from tensorratio.symtensor import (
     frob_norm,
     poly_eval,
     poly_grad,
+    poly_hess,
     sym_rank_one,
 )
 
@@ -108,8 +109,14 @@ def test_power_embedded_extremal():
     assert ms.value == pytest.approx(2 * (3 / 4) ** 1.5, abs=1e-10)
 
 
-def _power_reference(A, cfg):
-    """SS-HOPM one start and one sign at a time: the stacked solver's contract."""
+def _power_reference(A, cfg, adaptive=True):
+    """SS-HOPM one start and one sign at a time: the stacked solver's contract.
+
+    adaptive=False takes the global shift d(d-1) ||A||_F at every step, the
+    fixed-shift iteration kept as a value reference.  Returns the value, the
+    maximizer classes, their convergence, the most steps any row took, and
+    how many adaptive steps fell back to the global shift.
+    """
     n, d = A.dim, A.order
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     starts = [np.eye(n)[i] for i in range(n)]
@@ -122,11 +129,16 @@ def _power_reference(A, cfg):
     fro = frob_norm(A)
     shift = d * max(d - 1, 1) * fro
     crit_tol = 1e-11 * d * fro
-    candidates = []
+    candidates, most_steps, fallbacks = [], 0, 0
+
+    def unit(g):
+        norm_g = np.linalg.norm(g)
+        return g / norm_g if norm_g else g
+
     for w0 in starts:
         for sign in (1.0, -1.0) if d % 2 == 0 else (1.0,):
             w, f_prev, converged = w0, -math.inf, False
-            for _ in range(cfg.max_iters):
+            for steps in range(1, cfg.max_iters + 1):
                 grad = poly_grad(A, w)
                 f = sign * float(w @ grad) / d
                 assert f >= f_prev - 1e-9 * (abs(f_prev) + fro)
@@ -134,46 +146,124 @@ def _power_reference(A, cfg):
                 if np.linalg.norm(grad - (grad @ w) * w) < crit_tol:
                     converged = True
                     break
-                g = sign * grad + shift * w
-                norm_g = np.linalg.norm(g)
-                if norm_g == 0.0:
+                w_new = unit(sign * grad + shift * w)
+                if adaptive:
+                    lam = np.linalg.eigvalsh(poly_hess(A, w) * (sign / fro))[0]
+                    trial = unit(sign * grad + fro * max(0.0, 1e-6 - lam) * w)
+                    if sign * poly_eval(A, trial) >= f - 1e-9 * (abs(f) + fro):
+                        w_new = trial
+                    else:
+                        fallbacks += 1
+                if not w_new.any():
                     converged = True
                     break
-                w_new = g / norm_g
                 step = np.linalg.norm(w_new - w)
                 w = w_new
                 if step < cfg.tol:
                     converged = True
                     break
+            most_steps = max(most_steps, steps)
             candidates.append((abs(poly_eval(A, w)), w, converged))
     value = max(v for v, _, _ in candidates)
     near = [(w, ok) for v, w, ok in candidates if v >= value * (1.0 - REL_MAX_TOL)]
-    return value, _dedup_antipodal([w for w, _ in near]), all(ok for _, ok in near)
+    return (value, _dedup_antipodal([w for w, _ in near]), all(ok for _, ok in near),
+            most_steps, fallbacks)
+
+
+def _random_form(rng, n, d):
+    return SymTensor(d, n, {e: rng.standard_normal() for e in exponent_tuples(n, d)})
+
+
+def _fallback_case():
+    """An order-5 form on which four adaptive steps do not ascend and fall
+    back to the global shift."""
+    return _random_form(np.random.default_rng(32), 3, 5), IterConfig(starts=2, seed=32)
 
 
 def test_power_stack_matches_per_start_reference(rng):
     # Random forms of odd and even order; a rank-one form whose axis rows stop
     # at the first criticality test; a cap of 5 iterations, where rows stop
-    # unconverged while others are still running; and tol = 1e-8, where rows
-    # stop on the step test before the criticality test.
+    # unconverged while others are still running; tol = 1e-8, where rows
+    # stop on the step test before the criticality test; and a form on which
+    # the adaptive step falls back to the global shift.
     cases = []
     for d in (3, 4, 5, 6):
         n = 3 + d % 2
-        A = SymTensor(d, n, {e: rng.standard_normal() for e in exponent_tuples(n, d)})
+        A = _random_form(rng, n, d)
         cases += [(A, IterConfig(starts=3, seed=d)), (A, IterConfig(starts=2, max_iters=5, seed=d)),
                   (A, IterConfig(starts=2, tol=1e-8, seed=d))]
     cases.append((sym_rank_one([1.0, 0.0, 0.0, 0.0], 4), IterConfig(starts=3, seed=1)))
     cases.append((sym_rank_one([0.6, 0.0, 0.8], 5), IterConfig(starts=3, max_iters=5, seed=2)))
-    seen = set()
+    cases.append(_fallback_case())
+    seen, fallbacks = set(), 0
     for A, cfg in cases:
         ms = spectral_norm_power(A, cfg)
-        value, points, converged = _power_reference(A, cfg)
+        value, points, converged, most_steps, fell_back = _power_reference(A, cfg)
         assert ms.value == value
         assert len(ms.points) == len(points)
         assert all(np.array_equal(w, w0) for w, w0 in zip(ms.points, points))
         assert ms.converged == converged
+        assert ms.iterations == most_steps
         seen.add(converged)
+        fallbacks += fell_back
     assert seen == {True, False}
+    assert fallbacks > 0
+
+
+def test_power_adaptive_shift_keeps_fixed_shift_values():
+    # The adaptive shift reaches the values the fixed global shift reaches,
+    # in far fewer stacked steps: random forms of orders 3..6 in dims 3 and
+    # 4, the form on which the adaptive step falls back, and an order-5 form
+    # whose four starts the tangent-projected Hessian (without its Lagrangian
+    # term) would take to a maximum 74% higher than the global shift reaches.
+    rng = np.random.default_rng(2024)
+    cases = [(_random_form(rng, n, d), IterConfig(starts=2, seed=d)) for d in (3, 4, 5, 6) for n in (3, 4)]
+    cases.append(_fallback_case())
+    cases.append((_random_form(np.random.default_rng(2), 3, 5), IterConfig(starts=0, seed=2)))
+    for A, cfg in cases:
+        ms = spectral_norm_power(A, cfg)
+        value, _, converged, most_steps, _ = _power_reference(A, cfg, adaptive=False)
+        assert ms.value == pytest.approx(value, rel=1e-12)
+        assert ms.converged and converged
+        assert ms.iterations < most_steps
+
+
+def test_power_scaling_equivariance(rng):
+    # spectral_norm_power(c A) = |c| spectral_norm_power(A) for c of either
+    # sign from 1e-120 to 1e120; odd orders run one sign, so c < 0 turns
+    # every iterate into its antipode.
+    for d in (3, 4, 5):
+        A = _random_form(rng, 3, d)
+        value = spectral_norm_power(A, IterConfig(starts=4, seed=d)).value
+        for k in range(-120, 121, 30):
+            for c in (10.0**k * 1.7, -(10.0**k) * 0.3):
+                scaled = spectral_norm_power(c * A, IterConfig(starts=4, seed=d)).value
+                assert scaled == pytest.approx(abs(c) * value, rel=1e-12), (d, c)
+
+
+def _rotate(A, Q):
+    """The tensor whose form is u -> p_A(Q^T u), from the dense array."""
+    T = to_dense(A)
+    for _ in range(A.order):
+        T = np.tensordot(T, Q, axes=([0], [1]))
+    return SymTensor(A.order, A.dim, {e: T[tuple(i for i, k in enumerate(e) for _ in range(k))]
+                                     for e in exponent_tuples(A.dim, A.order)})
+
+
+def test_power_orthogonal_invariance(rng):
+    # Rotations do not change the spectral norm: a rotated rank-one form has
+    # norm 1, and the extremal W_d embedded in dim 3 and rotated keeps its
+    # closed-form norm.
+    for d in range(3, 9):
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        ms = spectral_norm_power(sym_rank_one(Q @ u, d), IterConfig(starts=4, seed=d))
+        assert ms.value == pytest.approx(1.0, abs=1e-10)
+        W = SymTensor(d, 3, {(e[0], e[1], 0): v for e, v in extremal_tensor(d).items()})
+        ms = spectral_norm_power(_rotate(W, Q), IterConfig(starts=8, seed=d))
+        assert ms.value == pytest.approx(extremal_spectral_norm(d), abs=1e-10)
+        assert ms.converged
 
 
 def test_best_rank_one_residual(rng):

@@ -324,7 +324,7 @@ def test_feasible_max_scan():
     assert normal_form_feasible(trivial.a, trivial.b, trivial.c, trivial.d)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data(), dims=st.tuples(*[st.integers(1, 3)] * 3))
 def test_json_round_trip_is_bit_exact(data, dims):
     values = st.floats(allow_nan=False, allow_infinity=False)
