@@ -106,7 +106,10 @@ def _companion_seeds(core: np.ndarray) -> np.ndarray:
         zb = z[rev]
         nonzero = zb != 0.0
         inv = np.full(zb.shape, np.nan)
-        inv[nonzero] = (1.0 / zb[nonzero]).real
+        # A subnormal zb has a reciprocal beyond the float range; its seed is
+        # then non-finite and dropped, as no float root lies that far out.
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv[nonzero] = (1.0 / zb[nonzero]).real
         seeds[rev] = inv
     if scaled.any():
         with np.errstate(over="ignore"):

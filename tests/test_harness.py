@@ -440,6 +440,7 @@ _FUZZ_ORDERS = st.sampled_from([str(d) for d in range(1, 13)] + ["40", "3.0", "3
        max_size=3), order=_FUZZ_ORDERS)
 @example(kind="border", fields=[1.0, 1e-08, 0.0], order="8")
 @example(kind="ranktwo", fields=[-1e-08, 1.0, 0.6745881296958025], order="4")
+@example(kind="ranktwo", fields=[1.0, 2.225073858507e-311, 0.0], order="1")
 def test_cli_report_builtin_fuzz(kind, fields, order):
     # Every builtin either reports a finite ratio in (0, 1] or is a usage
     # error with nothing on stdout.  The examples are nearly rank-one: their

@@ -155,6 +155,17 @@ def test_both_companions_overflow():
         assert out[3] == pytest.approx([0.0, 3.0], abs=1e-14)
 
 
+def test_root_beyond_float_range_is_dropped():
+    # 2e-311 x + 1 has its root at -5e310, past the largest float: the
+    # reversed companion's eigenvalue -2e-311 has no finite reciprocal, and
+    # the row reports no root instead of overflowing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert real_roots([2e-311, 1.0]) == []
+        assert real_roots([-2e-311, -1.0]) == []
+        assert real_roots_batch([[2e-311, 1.0], [1.0, -2.0]]) == [[], [2.0]]
+
+
 def test_capped_seed_folds_into_its_root():
     # One Newton seed wanders to the 60-step cap and stops 1.2e-8 (relative)
     # short of the simple root -0.92425674681117 that another seed reaches;
