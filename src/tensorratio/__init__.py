@@ -57,6 +57,7 @@ from .tensor3 import (
     embed_normal_form,
     extremal_tensor3,
     feasible_max_scan,
+    feasible_max_scan_batch,
     hyperdet,
     make_rank_two_3,
     ratio_3,

@@ -61,8 +61,10 @@ class MaximizerSet:
     points: list = field(default_factory=list)
     is_exact: bool = True
     converged: bool = True
-    # Stacked power-iteration steps; None for the exact solver.
+    # Stacked power-iteration steps, and the rows still moving when they
+    # hit the step cap; None for the exact solver.
     iterations: int | None = None
+    capped_rows: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,13 +234,22 @@ def spectral_norm_power(A: SymTensor, cfg: IterConfig | None = None) -> Maximize
     nondecreasing.  For even order both signs are ascended, since |p_A|
     maxima may hide on the negative side.  Every start and sign is one row
     of a stack; a row leaves the stack when it stops.  The result's
-    iterations counts the stacked steps until the last row stopped.
+    iterations counts the stacked steps until the last row stopped, and
+    capped_rows the rows still moving at cfg.max_iters.  converged speaks
+    for the rows at the maximum only, so a capped row elsewhere leaves it
+    True.
     """
     cfg = cfg or IterConfig()
     d = A.order
     fro = frob_norm(A)
     if fro == 0.0:
         raise ValueError("zero tensor has no spectral maximizer")
+    # Iterate on A / 2^k, for the power of two 2^k of ||A||_F: every step
+    # is homogeneous in A, so the scaling is exact and moves no bit, but the
+    # squares in the row norms of a tiny or huge tensor stay in range.
+    k = math.frexp(fro)[1]
+    A = SymTensor(d, A.dim, {e: math.ldexp(v, -k) for e, v in A.items()})
+    fro = math.ldexp(fro, -k)
     shift = d * max(d - 1, 1) * fro
     signs = (1.0, -1.0) if d % 2 == 0 else (1.0,)
     # A start also counts as converged once its tangential gradient vanishes
@@ -279,8 +290,9 @@ def spectral_norm_power(A: SymTensor, cfg: IterConfig | None = None) -> Maximize
     values = np.abs(poly_eval(A, W))
     value = values.max()
     near = values >= value * (1.0 - REL_MAX_TOL)
-    return MaximizerSet(float(value), _dedup_antipodal(W[near]), is_exact=False,
-                        converged=bool(converged[near].all()), iterations=iterations)
+    return MaximizerSet(math.ldexp(float(value), k), _dedup_antipodal(W[near]), is_exact=False,
+                        converged=bool(converged[near].all()), iterations=iterations,
+                        capped_rows=int(live.size))
 
 
 def spectral_norm(A: SymTensor, cfg: IterConfig | None = None) -> MaximizerSet:

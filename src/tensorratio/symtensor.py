@@ -253,7 +253,25 @@ def frob_inner(A: SymTensor, B: SymTensor) -> float:
 
 
 def frob_norm(A: SymTensor) -> float:
-    return math.sqrt(max(frob_inner(A, A), 0.0))
+    """Frobenius norm; inf past the float range.
+
+    The entries are scaled by 2^-k, for the power of two 2^k of the largest
+    |entry|, before squaring, so tiny tensors neither underflow nor lose
+    digits.  The scaling is exact: where no square leaves the normal range,
+    the result has the bits of the unscaled sum.
+    """
+    if A.is_zero:
+        return 0.0
+    k = math.frexp(max(abs(v) for v in A._coeffs.values()))[1]
+    total = 0.0
+    # A plain left-to-right sum: sum() compensates rounding on Python >= 3.12.
+    for e, v in A._coeffs.items():
+        v = math.ldexp(v, -k)
+        total += multi_weight(e) * v * v
+    try:
+        return math.ldexp(math.sqrt(total), k)
+    except OverflowError:
+        return math.inf
 
 
 def _stack(A: SymTensor, u) -> np.ndarray:

@@ -1,7 +1,12 @@
 """Nonsymmetric third-order machinery: alternating maximization for the
 spectral norm, the 2x2x2 hyperdeterminant with its rank-two sign criterion,
 the unit-spectral-norm normal form, and the feasible-region maximization that
-pins the squared-Frobenius ceiling 9/4."""
+pins the squared-Frobenius ceiling 9/4.
+
+The feasible-region scan draws its samples once for all interior margins and
+polishes every candidate with one stacked Nelder-Mead: all simplices step in
+lockstep on an (M, n + 1, n) array, each row following scipy's rules and
+stopping on its own test."""
 
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ __all__ = [
     "embed_normal_form",
     "extremal_tensor3",
     "feasible_max_scan",
+    "feasible_max_scan_batch",
     "hyperdet",
     "hyperdet_stack",
     "make_rank_two_3",
@@ -287,166 +293,213 @@ class FeasibleScanResult:
     samples: int
 
 
-def _scan_objective(x) -> float:
-    return 1.0 + float(np.dot(x, x))
+# Elementwise left-to-right sums throughout: a reduction would change its
+# summation order with the stack's shape, and every row must get the same
+# bits whatever stack it sits in.
+def _scan_sq(X: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis of (..., 4) normal-form parameters."""
+    Q = X * X
+    return Q[..., 0] + Q[..., 1] + Q[..., 2] + Q[..., 3]
 
 
-def _scan_constraints(x, interior_margin: float):
-    """Constraint values g(x), feasible where every one is <= 0."""
-    a, b, c, d = map(float, x)
-    g1 = a * a + b * b + c * c + d * d + 2.0 * a * b * c - 1.0
-    g2 = interior_margin - (d * d + 4.0 * a * b * c)
-    return g1, g2, abs(a) - 1.0, abs(b) - 1.0, abs(c) - 1.0
+def _scan_constraints(X: np.ndarray, sq: np.ndarray, margin) -> np.ndarray:
+    """The constraint values g(x) of (..., 4) parameters with |x|^2 = sq,
+    shape (..., 5); x is feasible where every one is <= 0.  margin
+    broadcasts against X.shape[:-1]."""
+    abc = X[..., 0] * X[..., 1] * X[..., 2]
+    G = np.empty(X.shape[:-1] + (5,))
+    G[..., 0] = sq + 2.0 * abc - 1.0
+    G[..., 1] = margin - (X[..., 3] * X[..., 3] + 4.0 * abc)
+    np.subtract(np.abs(X[..., :3]), 1.0, out=G[..., 2:])
+    return G
 
 
-# Plain left-to-right sums: sum() compensates rounding on Python >= 3.12,
-# which would move the bits of the scan.
-def _scan_violation(x, interior_margin: float) -> float:
-    viol = 0.0
-    for g in _scan_constraints(x, interior_margin):
-        viol += max(0.0, g)
-    return viol
+def _scan_feasible(X: np.ndarray, margin) -> np.ndarray:
+    """Mask of the points of X that satisfy every constraint."""
+    return (_scan_constraints(X, _scan_sq(X), margin) <= 0.0).all(axis=-1)
 
 
-def _scan_quad_penalty(x, interior_margin: float) -> float:
-    v = 0.0
-    for g in _scan_constraints(x, interior_margin):
-        if not g <= 0.0:  # max(g, 0.0) ** 2, NaN included, without the call
-            v += g ** 2
-    return v
+def _scan_penalty(X: np.ndarray, mu: float, margin) -> np.ndarray:
+    """-(1 + |x|^2) + mu * sum(max(g, 0)^2): the polish objective; a NaN
+    constraint value makes it NaN."""
+    sq = _scan_sq(X)
+    T = np.maximum(_scan_constraints(X, sq, margin), 0.0)
+    T *= T
+    return -(1.0 + sq) + mu * (T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3] + T[..., 4])
 
 
-def _feasible_samples(cfg: SearchConfig, interior_margin: float):
-    """Uniform samples of [-1, 1]^4 with |pts|^2 and the feasibility mask."""
+def _feasible_samples(cfg: SearchConfig, margins):
+    """Uniform samples of [-1, 1]^4, drawn once for every margin, with |pts|^2
+    and one feasibility mask per margin, shape (len(margins), samples)."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     pts = rng.uniform(-1.0, 1.0, size=(max(int(cfg.budget), 1000), 4))
     sq = np.einsum("ij,ij->i", pts, pts)
-    feas = sq + 2.0 * pts[:, 0] * pts[:, 1] * pts[:, 2] <= 1.0
-    feas &= pts[:, 3] ** 2 + 4.0 * pts[:, 0] * pts[:, 1] * pts[:, 2] >= interior_margin
+    abc = pts[:, 0] * pts[:, 1] * pts[:, 2]
+    feas = (sq + 2.0 * abc <= 1.0) & (pts[:, 3] ** 2 + 4.0 * abc
+                                      >= np.asarray(margins, dtype=float)[:, None])
     return pts, sq, feas
 
 
+# Candidate points (1 + t) xbar - t worst of one Nelder-Mead step, in the
+# order reflection, expansion, outside and inside contraction, as
+# coefficient pairs (1 + t, t), written as scipy writes them.
+_NM_MOVES = np.array([[2.0, 1.0], [3.0, 2.0], [1.5, 0.5], [0.5, -0.5]])
+
+
 def _nelder_mead(f, x0, maxiter: int) -> np.ndarray:
-    """scipy.optimize.minimize(f, x0, method="Nelder-Mead", options={"xatol":
-    1e-13, "fatol": 1e-13, "maxiter": maxiter}).x, step for step, but on
-    lists of Python floats, which costs a fraction of NumPy's overhead on
-    4-element arrays.  f receives such a list."""
-    n = len(x0)
-    sim = [[float(v) for v in x0]]
-    for k in range(n):
-        y = list(sim[0])
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fsim = [f(x) for x in sim]
+    """Nelder-Mead from each row of the (M, n) array x0, all in lockstep.
 
-    def move(t):  # (1 + t) xbar - t worst, evaluated
-        x = [(1 + t) * b - t * w for b, w in zip(xbar, worst)]
-        return x, f(x)
-
+    Row by row this is scipy.optimize.minimize(f_row, x0[i],
+    method="Nelder-Mead", options={"xatol": 1e-13, "fatol": 1e-13,
+    "maxiter": maxiter}).x, step for step: the same initial simplex, moves,
+    ordering of ties and stopping test.  Each row leaves the stack at its own
+    stop.  f(X, rows) takes an (m, k, n) stack of points, where point X[j]
+    belongs to row rows[j] of x0, and returns their (m, k) values.  All four
+    candidate points of a step are evaluated in one call; Nelder-Mead has no
+    evaluation budget, so the unused ones change no decision.
+    """
+    x0 = np.array(x0, dtype=float)
+    m, n = x0.shape
+    sim = np.repeat(x0[:, None], n + 1, axis=1)
+    diag = np.arange(n)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    rows = np.arange(m)
+    fsim = f(sim, rows)
+    out = np.empty_like(x0)
+    idx = np.arange(m)
     for it in range(maxiter):
-        order = np.argsort(fsim).tolist()  # NumPy's order of ties, as scipy's
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-        best, worst = sim[0], sim[-1]
-        if it == maxiter - 1 or (all(abs(v - b) <= 1e-13 for x in sim[1:] for v, b in zip(x, best))
-                                 and all(abs(fsim[0] - fv) <= 1e-13 for fv in fsim[1:])):
+        order = np.argsort(fsim, axis=1)  # NumPy's order of ties, as scipy's
+        sim, fsim = sim[idx[:, None], order], fsim[idx[:, None], order]
+        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= 1e-13)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= 1e-13))
+        if it == maxiter - 1 or done.all():
+            out[rows] = sim[:, 0]
             break
-        xbar = best
-        for x in sim[1:-1]:
-            xbar = [s + v for s, v in zip(xbar, x)]
-        xbar = [s / n for s in xbar]
-        xr, fxr = move(1)  # reflection
-        if fxr < fsim[0]:
-            xe, fxe = move(2)  # expansion
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            outside = fxr < fsim[-1]
-            xc, fxc = move(0.5 if outside else -0.5)  # outside or inside contraction
-            if fxc <= fxr if outside else fxc < fsim[-1]:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink toward the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
-                    fsim[j] = f(sim[j])
-    return np.array(sim[0])
+        if done.any():
+            out[rows[done]] = sim[done, 0]
+            rows, sim, fsim = rows[~done], sim[~done], fsim[~done]
+            idx = np.arange(len(rows))
+        xbar = sim[:, :-1].sum(axis=1) / n
+        cand = _NM_MOVES[:, 0, None] * xbar[:, None] - _NM_MOVES[:, 1, None] * sim[:, -1:]
+        fc = f(cand, rows)
+        fxr, best, second, worst = fc[:, 0], fsim[:, 0], fsim[:, -2], fsim[:, -1]
+        # The candidate that replaces the worst vertex; -1 shrinks the simplex.
+        pick = np.where(
+            fxr < best, (fc[:, 1] < fxr).astype(int),
+            np.where(fxr < second, 0,
+                     np.where(fxr < worst, np.where(fc[:, 2] <= fxr, 2, -1),
+                              np.where(fc[:, 3] < worst, 3, -1))))
+        sim[:, -1] = np.where((pick >= 0)[:, None], cand[idx, pick], sim[:, -1])
+        fsim[:, -1] = np.where(pick >= 0, fc[idx, pick], worst)
+        shrink = pick < 0
+        if shrink.any():  # toward the best vertex
+            s = sim[shrink]
+            s[:, 1:] = s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1])
+            sim[shrink] = s
+            fsim[shrink, 1:] = f(s[:, 1:], rows[shrink])
+    return out
 
 
-def _feasible_shrink(x, interior_margin: float):
-    """Pull a slightly infeasible polish result back into the region by
-    scaling toward the origin; returns None if no nearby scale works."""
-    if _scan_violation(x, interior_margin) == 0.0:
-        return x
-    step = 1e-9
-    lo = None
-    while step < 0.5:
-        if _scan_violation((1.0 - step) * x, interior_margin) == 0.0:
-            lo = 1.0 - step
-            break
-        step *= 2.0
-    if lo is None:
-        return None
-    hi = 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _scan_violation(mid * x, interior_margin) == 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo * x
+# Scales 1 - 1e-9 * 2^k below 0.5 tried before the bisection, nearest first.
+_SHRINK_STEPS = 1e-9 * 2.0 ** np.arange(29)
+
+
+def _feasible_shrink(X: np.ndarray, margin: np.ndarray):
+    """Pull slightly infeasible polish results back into the region by
+    scaling each row of X toward the origin, all rows in lockstep.
+
+    A feasible row stays.  Otherwise the nearest scale 1 - 1e-9 * 2^k that
+    is feasible, then 60 bisections toward 1.  Returns the scaled rows and
+    the mask of rows for which some scale worked.
+    """
+    lo = np.ones(len(X))
+    feasible = _scan_feasible(X, margin)
+    tried = _scan_feasible((1.0 - _SHRINK_STEPS)[:, None] * X[:, None], margin[:, None])
+    found = feasible | tried.any(axis=1)
+    todo = ~feasible & found
+    if todo.any():
+        lo[todo] = 1.0 - _SHRINK_STEPS[tried[todo].argmax(axis=1)]
+        hi = np.ones(int(todo.sum()))
+        for _ in range(60):
+            mid = 0.5 * (lo[todo] + hi)
+            ok = _scan_feasible(mid[:, None] * X[todo], margin[todo])
+            lo[todo] = np.where(ok, mid, lo[todo])
+            hi = np.where(ok, hi, mid)
+    return lo[:, None] * X, found
+
+
+def _feasible_values(X: np.ndarray, margin: np.ndarray):
+    """Shrunk rows of X and their objective values, -inf where none."""
+    X, found = _feasible_shrink(X, margin)
+    return X, np.where(found, 1.0 + _scan_sq(X), -math.inf)
+
+
+def feasible_max_scan_batch(cfg: SearchConfig | None, margins) -> list:
+    """feasible_max_scan for each interior margin of the sequence margins,
+    one result per margin.
+
+    The samples are drawn once and shared by every margin.  The polish of
+    every margin's candidates runs as one stacked Nelder-Mead, and so does
+    each step of the restart chains, one row per margin.  Rows never mix, so
+    each result is bit for bit the one-margin scan.
+    """
+    cfg = cfg or SearchConfig(budget=1_000_000)
+    margins = np.asarray(margins, dtype=float)
+    pts, sq, feas = _feasible_samples(cfg, margins)
+    tops = []
+    for mask in feas:
+        top = np.argsort(np.where(mask, 1.0 + sq, -np.inf))[-40:]
+        if not mask[top].any():
+            raise RuntimeError("no feasible sample found")
+        tops.append(top[mask[top]])
+    owner = np.repeat(np.arange(len(margins)), [top.size for top in tops])
+    starts = np.concatenate(tops)
+
+    def polish(X0, margin, mu, maxiter):
+        return _nelder_mead(lambda X, rows: _scan_penalty(X, mu, margin[rows, None]), X0, maxiter)
+
+    X, vals = _feasible_values(polish(pts[starts], margins[owner], 1e4, 400), margins[owner])
+    fallback = vals == -math.inf
+    X[fallback] = pts[starts[fallback]]
+    vals[fallback] = 1.0 + sq[starts[fallback]]
+    best_x = np.empty((len(margins), 4))
+    best_val = np.empty(len(margins))
+    for j in range(len(margins)):
+        mine = np.nonzero(owner == j)[0]
+        k = mine[np.argmax(vals[mine])]  # the first of equal values
+        best_x[j], best_val[j] = X[k], vals[k]
+    # Increasing-penalty restarts from the incumbent recover the digits the
+    # first Nelder-Mead pass leaves on the table after simplex collapse.
+    seed_x = best_x.copy()
+    for mu in (1e4, 1e6, 1e8):
+        for _ in range(2):
+            seed_x = polish(seed_x, margins, mu, 2000)
+            X, vals = _feasible_values(seed_x, margins)
+            better = vals > best_val
+            best_x[better], best_val[better] = X[better], vals[better]
+    results = []
+    for margin, x, val in zip(margins.tolist(), best_x, best_val):
+        nf = NormalForm222(*(float(y) for y in x))
+        criterion = nf.rank_two_criterion()
+        results.append(FeasibleScanResult(
+            value=float(val),
+            argmax=nf,
+            boundary=abs(criterion - margin) <= 1e-5,
+            criterion_at_argmax=float(criterion),
+            samples=len(pts),
+        ))
+    return results
 
 
 def feasible_max_scan(cfg: SearchConfig | None = None, interior_margin: float = 0.0) -> FeasibleScanResult:
     """Maximize 1 + a^2 + b^2 + c^2 + d^2 over the feasible normal forms
     intersected with the rank-two closure d^2 + 4abc >= interior_margin.
 
-    Dense rejection sampling in [-1, 1]^4 followed by Nelder-Mead polish of
-    the best candidates on an exact L1 penalty.  The global maximum 9/4 sits
-    on the boundary d^2 + 4abc = 0, which the result flags.
+    Dense rejection sampling in [-1, 1]^4, then a stacked Nelder-Mead polish
+    of the 40 best samples on a quadratic penalty, each result pulled back
+    into the region by scaling, then a chain of restarts from the incumbent
+    under increasing penalties.  The global maximum 9/4 sits on the boundary
+    d^2 + 4abc = 0, which the result flags.  The one-margin case of
+    feasible_max_scan_batch.
     """
-    cfg = cfg or SearchConfig(budget=1_000_000)
-    pts, sq, feas = _feasible_samples(cfg, interior_margin)
-    objective = np.where(feas, 1.0 + sq, -np.inf)
-    top = np.argsort(objective)[-40:]
-
-    def polish(x0, mu, maxiter):
-        return _nelder_mead(
-            lambda x: -_scan_objective(x) + mu * _scan_quad_penalty(x, interior_margin), x0, maxiter
-        )
-
-    def feasible_value(x):
-        projected = _feasible_shrink(x, interior_margin)
-        if projected is None:
-            return None, -math.inf
-        return projected, _scan_objective(projected)
-
-    best_x = None
-    best_val = -math.inf
-    for idx in top:
-        if not feas[idx]:
-            continue
-        x, val = feasible_value(polish(pts[idx], 1e4, 400))
-        if x is None:
-            x, val = pts[idx], float(objective[idx])
-        if val > best_val:
-            best_val, best_x = val, x
-    if best_x is None:
-        raise RuntimeError("no feasible sample found")
-    # Increasing-penalty restarts from the incumbent recover the digits the
-    # first Nelder-Mead pass leaves on the table after simplex collapse.
-    seed_x = best_x
-    for mu in (1e4, 1e6, 1e8):
-        for _ in range(2):
-            seed_x = polish(seed_x, mu, 2000)
-            x, val = feasible_value(seed_x)
-            if x is not None and val > best_val:
-                best_val, best_x = val, x
-    nf = NormalForm222(*(float(y) for y in best_x))
-    criterion = nf.rank_two_criterion()
-    return FeasibleScanResult(
-        value=float(best_val),
-        argmax=nf,
-        boundary=abs(criterion - interior_margin) <= 1e-5,
-        criterion_at_argmax=float(criterion),
-        samples=len(pts),
-    )
+    return feasible_max_scan_batch(cfg, (interior_margin,))[0]

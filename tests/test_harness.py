@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,45 @@ def test_cli_report_provenance(tmp_path, capsys):
         assert out["converged"] is True
         assert set(out) & {"iterations", "sweeps"} == steps
         assert all(isinstance(out[k], int) and out[k] >= 1 for k in steps)
+
+
+def test_cli_report_capped_rows(tmp_path, capsys):
+    # capped_rows counts the power-iteration rows still moving at the step
+    # cap: a random form crawls past --max-iters 3, a rank-one form stops
+    # early with none.
+    rng = np.random.default_rng(11)
+    crawl = SymTensor(4, 3, {e: float(rng.standard_normal()) for e in exponent_tuples(3, 4)})
+    for A, flags, capped in [(crawl, ["--max-iters", "3"], True),
+                             (sym_rank_one([0.6, 0.0, 0.8], 4), [], False)]:
+        path = tmp_path / "sym3.json"
+        path.write_text(json.dumps(A.to_json_dict()))
+        assert main(["report", str(path), *flags]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["method"] == "power"
+        if capped:
+            assert out["iterations"] == 3 and out["capped_rows"] > 0
+        else:
+            assert out["iterations"] < IterConfig().max_iters and out["capped_rows"] == 0
+    assert main(["report", "wd:3"]) == 0
+    assert "capped_rows" not in json.loads(capsys.readouterr().out)
+
+
+def test_cli_report_tiny_tensor(tmp_path):
+    # Entries of 1e-300 square to zero; the report still finds the ratio of
+    # the same tensor at unit scale, on both routes, with no warning.
+    for dim in (2, 3):
+        ratios = []
+        for scale in (1e-300, 1.0):
+            A = SymTensor(3, dim, {e: scale for e in exponent_tuples(dim, 3)})
+            path = tmp_path / f"sym{dim}.json"
+            path.write_text(json.dumps(A.to_json_dict()))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = _report([str(path)])
+            assert (code, err) == (0, "")
+            ratios.append(json.loads(out)["ratio"])
+        assert math.isfinite(ratios[0]) and 0.0 < ratios[0] <= 1.0
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
 
 
 def test_cli_report_csv(capsys):

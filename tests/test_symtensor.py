@@ -155,6 +155,34 @@ def test_frob_norm_examples():
     assert frob_norm(A) == pytest.approx(expected, rel=1e-14)
 
 
+def _frob_norm_unscaled(A):
+    total = 0.0
+    for e, v in A.items():
+        total += multi_weight(e) * v * v
+    return math.sqrt(total)
+
+
+def test_frob_norm_scaling_is_exact(rng):
+    # Scaling by a power of two moves no bit of a normal-range norm.
+    for _ in range(300):
+        d, n = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        A = SymTensor(d, n, {e: float(rng.standard_normal()) * 10.0 ** rng.integers(-3, 4)
+                             for e in exponent_tuples(n, d) if rng.random() < 0.7})
+        assert frob_norm(A) == _frob_norm_unscaled(A)
+
+
+def test_frob_norm_tiny_and_huge_tensors():
+    # Squaring entries of 1e-160 loses digits to subnormals, and entries of
+    # 1e-300 square to zero; scaled first, neither does.
+    A = SymTensor(3, 3, {(3, 0, 0): 1e-160, (1, 1, 1): 3e-161})
+    assert frob_norm(A) == pytest.approx(math.hypot(1e-160, math.sqrt(6.0) * 3e-161), rel=1e-15, abs=0.0)
+    assert abs(_frob_norm_unscaled(A) / frob_norm(A) - 1.0) > 1e-7
+    for scale in (1e-300, 1e300):
+        B = SymTensor(3, 3, {e: scale for e in exponent_tuples(3, 3)})
+        assert frob_norm(B) == pytest.approx(math.sqrt(27.0) * scale, rel=1e-15, abs=0.0)
+    assert frob_norm(SymTensor(3, 3, {e: 1e308 for e in exponent_tuples(3, 3)})) == math.inf
+
+
 def test_poly_eval_examples(rng):
     W3 = 3.0 * sym_outer(np.array([1.0, 0.0]), 2, np.array([0.0, 1.0]), 1)
     assert poly_eval(W3, [1.0, 1.0]) == pytest.approx(3.0, abs=1e-14)

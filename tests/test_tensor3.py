@@ -215,37 +215,135 @@ def test_rank_two_ratio_approaches_extremal_limit():
     assert prev == pytest.approx(2 / 3, abs=5e-3)  # gap decays like t
 
 
-def test_nelder_mead_matches_scipy(rng):
-    # The polish of feasible_max_scan follows scipy's Nelder-Mead step for
-    # step; scipy is the reference where it is installed.
+def _scipy_nelder_mead(f, x0, maxiter):
+    """scipy's Nelder-Mead on f, with the number of evaluations each
+    iteration made (6 on a shrink step)."""
     optimize = pytest.importorskip("scipy.optimize")
-    from tensorratio.tensor3 import _nelder_mead, _scan_objective, _scan_quad_penalty
+    evals = [0]
+    per_iter = []
 
-    for trial in range(60):
-        x0 = rng.uniform(-1.0, 1.0, 4)
-        if trial % 5 == 0:
-            x0[trial % 4] = 0.0  # a zero coordinate takes the other initial step
-        mu, margin, maxiter = (1e4, 1e6, 1e8)[trial % 3], (0.0, 0.01)[trial % 2], (50, 400)[trial % 2]
+    def counted(x):
+        evals[0] += 1
+        return f(x)
 
-        def f(x):
-            return -_scan_objective(x) + mu * _scan_quad_penalty(x, margin)
+    def callback(intermediate_result):
+        per_iter.append(evals[0])
+        evals[0] = 0
 
-        ref = optimize.minimize(f, x0, method="Nelder-Mead",
-                                options={"xatol": 1e-13, "fatol": 1e-13, "maxiter": maxiter})
-        assert np.array_equal(_nelder_mead(f, x0, maxiter), ref.x)
+    res = optimize.minimize(counted, x0, method="Nelder-Mead", callback=callback,
+                            options={"xatol": 1e-13, "fatol": 1e-13, "maxiter": maxiter})
+    return res, per_iter
+
+
+def test_nelder_mead_matches_scipy(rng):
+    # Every row of one stacked call is scipy's Nelder-Mead on that row, given
+    # the same vectorized f at one point.  One stack mixes both margins,
+    # starts with a zero coordinate (the other initial step) and far outside
+    # the region, and rows that stop at different iterations.
+    pytest.importorskip("scipy.optimize")
+    from tensorratio.tensor3 import _nelder_mead, _scan_penalty
+
+    shrinks = 0
+    for mu in (1e4, 1e6, 1e8):
+        for maxiter in (50, 400, 2000):
+            x0 = rng.uniform(-1.0, 1.0, (8, 4))
+            x0[1, 0] = x0[5, 3] = x0[6, 1] = 0.0
+            x0[7] *= 3.0
+            margin = np.tile([0.0, 0.01], 4)
+
+            def f(X, rows):
+                return _scan_penalty(X, mu, margin[rows, None])
+
+            got = _nelder_mead(f, x0, maxiter)
+            iterations = set()
+            for i in range(len(x0)):
+                ref, per_iter = _scipy_nelder_mead(lambda x: f(x[None, None], np.array([i]))[0, 0],
+                                                   x0[i], maxiter)
+                assert np.array_equal(got[i], ref.x), (mu, maxiter, i)
+                iterations.add(ref.nit)
+                shrinks += per_iter.count(6)
+            if maxiter == 2000:
+                assert len(iterations) > 1 and min(iterations) < maxiter
+    assert shrinks > 0
+
+
+def _scan_feasible_reference(x, margin):
+    a, b, c, d = map(float, x)
+    return (a * a + b * b + c * c + d * d + 2.0 * a * b * c - 1.0 <= 0.0
+            and margin - (d * d + 4.0 * a * b * c) <= 0.0
+            and max(abs(a), abs(b), abs(c)) <= 1.0)
+
+
+def _feasible_shrink_reference(x, margin):
+    """One row at a time: the nearest feasible scale 1 - 1e-9 * 2^k below
+    0.5 steps, then 60 bisections toward 1; None if no scale works."""
+    if _scan_feasible_reference(x, margin):
+        return x
+    step = 1e-9
+    lo = None
+    while step < 0.5:
+        if _scan_feasible_reference((1.0 - step) * x, margin):
+            lo = 1.0 - step
+            break
+        step *= 2.0
+    if lo is None:
+        return None
+    hi = 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _scan_feasible_reference(mid * x, margin):
+            lo = mid
+        else:
+            hi = mid
+    return lo * x
+
+
+def test_feasible_shrink_matches_scalar_reference(rng):
+    from tensorratio.tensor3 import _feasible_shrink
+
+    # Points pushed just past the boundary by 1e-12 to 0.3, feasible points,
+    # and points no scale in reach brings back (far outside, or below the
+    # margin at every scale).
+    X = rng.uniform(-1.0, 1.0, (200, 4))
+    X *= np.geomspace(1e-12, 0.3, 200)[:, None] + 1.0
+    X[::7] *= 0.3
+    X[5] = [2.0, 2.0, 2.0, 2.0]
+    X[6] = [0.0, 0.0, 0.0, 0.05]
+    margin = np.where(np.arange(200) % 3 == 0, 0.01, 0.0)
+    got, found = _feasible_shrink(X, margin)
+    kinds = set()
+    for x, g, ok, m in zip(X, got, found, margin):
+        ref = _feasible_shrink_reference(x, m)
+        kinds.add("none" if ref is None else "kept" if ref is x else "shrunk")
+        assert ok == (ref is not None)
+        if ref is not None:
+            assert np.array_equal(g, ref)
+    assert kinds == {"none", "kept", "shrunk"}
+
+
+def test_feasible_max_scan_batch_equals_single_margin_calls():
+    from tensorratio.tensor3 import feasible_max_scan_batch
+
+    for seed in (0, 3):
+        cfg = SearchConfig(budget=5_000, seed=seed)
+        both = feasible_max_scan_batch(cfg, (0.0, 0.01))
+        assert both == [feasible_max_scan(cfg, 0.0), feasible_max_scan(cfg, 0.01)]
+        assert both[0].boundary and both[1].value < 2.25 - 1e-3
 
 
 def test_feasible_samples_mask():
     from tensorratio.tensor3 import _feasible_samples
 
-    for margin in (0.0, 0.01):
-        pts, sq, feas = _feasible_samples(SearchConfig(budget=20_000, seed=0), margin)
-        assert pts.shape == (20_000, 4) and 0 < feas.sum() < len(pts)
-        assert sq == pytest.approx(np.sum(pts * pts, axis=1), rel=1e-15)
-        for (a, b, c, d), inside in zip(pts, feas):
+    margins = (0.0, 0.01)
+    pts, sq, feas = _feasible_samples(SearchConfig(budget=20_000, seed=0), margins)
+    assert pts.shape == (20_000, 4) and feas.shape == (2, 20_000)
+    assert sq == pytest.approx(np.sum(pts * pts, axis=1), rel=1e-15)
+    for margin, mask in zip(margins, feas):
+        assert 0 < mask.sum() < len(pts)
+        for (a, b, c, d), inside in zip(pts, mask):
             criterion = d * d + 4.0 * a * b * c
             assert inside == (normal_form_feasible(a, b, c, d, slack=0.0) and criterion >= margin)
-        assert np.all(1.0 + sq[feas] < 2.25 + 1e-9)
+        assert np.all(1.0 + sq[mask] < 2.25 + 1e-9)
 
 
 def test_make_rank_two_3(rng):
