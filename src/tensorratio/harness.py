@@ -24,6 +24,7 @@ from .ranktwo import (
     critical_equation_roots_batch,
     equal_diff_ratio_lb,
     extremal_ratio,
+    extremal_ratio_sq,
     extremal_tensor,
     make_border,
     make_rank_two,
@@ -307,7 +308,7 @@ def _suite_thm1_bound(seed: int, budget: int | None) -> SuiteResult:
     failures: list = []
     cases = 0
     for d in (3, 4, 5, 6):
-        bound = (1.0 - 1.0 / d) ** (d - 1)
+        bound = extremal_ratio_sq(d)
         rng = rng_for(seed, 1, d)
         ps = [sample_rank_two_params(rng, d) for _ in range(per_d)]
         for p, value in zip(ps, ratio_squared_batch(ps, d)):
@@ -337,7 +338,7 @@ def _suite_prop_equal(seed: int, budget: int | None) -> SuiteResult:
     failures: list = []
     cases = 0
     for d in range(3, 9):
-        bound = (1.0 - 1.0 / d) ** (d - 1)
+        bound = extremal_ratio_sq(d)
         ts = np.geomspace(1e-4, 1.0, steps)
         ps = [canonical_params(1.0, 1.0, np.array([1.0, t]), np.array([1.0, -t]), d) for t in ts]
         for t, value in zip(ts, ratio_squared_batch(ps, d)):
@@ -496,7 +497,7 @@ def _sweep_diff_t(d: int, steps: int, tmin: float):
         raise UsageError("diff_t needs d >= 2 and steps >= 0")
     if not 0.0 < tmin < 1.0:
         raise UsageError("diff_t needs 0 < tmin < 1")
-    bound = (1.0 - 1.0 / d) ** (d - 1)
+    bound = extremal_ratio_sq(d)
     ts = np.geomspace(tmin, 1.0, steps).tolist()
     ps = [canonical_params(1.0, 1.0, np.array([1.0, t]), np.array([1.0, -t]), d) for t in ts]
     rows = [
@@ -586,7 +587,7 @@ def search_counterexample(d: int, cfg: SearchConfig | None = None) -> dict:
         raise UsageError("counterexample search needs order d >= 3")
     cfg = cfg or SearchConfig()
     samples = cfg.budget
-    bound = (1.0 - 1.0 / d) ** ((d - 1) / 2.0)
+    bound = extremal_ratio(d)
     rng = rng_for(cfg.seed, 6, d)
     if d == 3:
         stack = _sample_rank_two_stack(rng, samples)

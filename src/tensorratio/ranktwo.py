@@ -47,6 +47,7 @@ __all__ = [
     "equal_diff_spectral_lb",
     "extremal_frob_norm",
     "extremal_ratio",
+    "extremal_ratio_sq",
     "extremal_spectral_norm",
     "extremal_tensor",
     "make_border",
@@ -209,6 +210,12 @@ def extremal_frob_norm(d: int) -> float:
 
 def extremal_ratio(d: int) -> float:
     return (1.0 - 1.0 / d) ** ((d - 1) / 2.0)
+
+
+def extremal_ratio_sq(d: int) -> float:
+    """The squared bound (1 - 1/d)^(d-1), computed directly: it has other
+    bits than extremal_ratio(d) ** 2."""
+    return (1.0 - 1.0 / d) ** (d - 1)
 
 
 def extremal_spectral_norm(d: int) -> float:
@@ -466,7 +473,7 @@ def equal_diff_ratio_lb(d: int, t: float) -> float:
     """
     _check_t(t)
     if t == 0.0:
-        return (1.0 - 1.0 / d) ** (d - 1)
+        return extremal_ratio_sq(d)
     h = equal_diff_spectral_lb(d, t)
     return h * h / equal_diff_frob_sq(d, t)
 

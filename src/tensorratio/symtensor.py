@@ -68,7 +68,7 @@ class SymTensor:
     module returns a new tensor.  Exponents with zero value may be omitted.
     """
 
-    __slots__ = ("order", "dim", "_coeffs", "_cache", "_hess_cache")
+    __slots__ = ("order", "dim", "_coeffs", "_tables")
 
     def __init__(self, order: int, dim: int, coeffs: dict):
         if order < 1:
@@ -76,8 +76,10 @@ class SymTensor:
         if dim < 1:
             raise ValueError(f"tensor dim must be >= 1, got {dim}")
         clean = {}
-        for exp, val in coeffs.items():
-            exp = tuple(int(e) for e in exp)
+        for raw, val in coeffs.items():
+            exp = tuple(int(e) for e in raw)
+            if exp != tuple(raw):
+                raise ValueError(f"exponent {list(raw)} is not integral")
             if len(exp) != dim:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {dim}")
             if any(e < 0 for e in exp):
@@ -92,8 +94,7 @@ class SymTensor:
         self.order = order
         self.dim = dim
         self._coeffs = clean
-        self._cache = None
-        self._hess_cache = None
+        self._tables = {}
 
     def coeff(self, exp) -> float:
         """Representative entry at the given exponent (0.0 if absent)."""
@@ -106,37 +107,32 @@ class SymTensor:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def arrays(self):
-        """Cached (exponents, values, weights) arrays for vectorized evaluation."""
-        if self._cache is None:
-            exps = sorted(self._coeffs)
-            E = np.array(exps, dtype=np.int64).reshape(len(exps), self.dim)
-            vals = np.array([self._coeffs[e] for e in exps], dtype=float)
-            wts = np.array([float(multi_weight(e)) for e in exps])
-            self._cache = (E, vals, wts)
-        return self._cache
+    def _derivative_table(self, k: int):
+        """Cached (monomials, coefficients) arrays of the k-th derivative of u -> <A, u^d>.
 
-    def hess_arrays(self):
-        """Cached (monomials, coefficients) arrays for vectorized Hessians.
-
-        monomials is the sorted (m, dim) array of the exponents of order - 2
-        that second derivatives of the stored entries reach; entry (i, j) of
-        the Hessian of u -> <A, u^d> is the sum over r of
-        coefficients[i, j, r] * prod(u ** monomials[r]).
+        monomials is the sorted (m, dim) array of the exponents of order d - k
+        that k-fold derivatives of the stored entries reach; entry (i_1, ..., i_k)
+        of the derivative is the sum over r of
+        coefficients[i_1, ..., i_k, r] * prod(u ** monomials[r]).
         """
-        if self._hess_cache is None:
-            E, vals, wts = self.arrays()
+        if k not in self._tables:
+            exps = sorted(self._coeffs)
+            F = np.array(exps, dtype=np.int64).reshape(len(exps), self.dim)
+            coef = np.array([float(multi_weight(e)) * self._coeffs[e] for e in exps])
             eye = np.eye(self.dim, dtype=np.int64)
-            # Entry k's second derivative in (i, j): coefficient and monomial.
-            coef = (wts * vals)[:, None, None] * E[:, :, None] * (E[:, None, :] - eye)
-            F = E[:, None, None, :] - eye[:, None, :] - eye[None, :, :]
+            # Differentiate in one more coordinate per pass: the factor is the
+            # exponent it lowers.
+            for _ in range(k):
+                coef = coef[..., None] * F
+                F = F[..., None, :] - eye
             hit = (F >= 0).all(axis=-1)
             M, r = np.unique(F[hit].reshape(-1, self.dim), axis=0, return_inverse=True)
-            C = np.zeros((self.dim, self.dim, len(M)))
-            _, i, j = np.nonzero(hit)
-            C[i, j, r.ravel()] = coef[hit]
-            self._hess_cache = (M, C)
-        return self._hess_cache
+            # For a fixed index tuple distinct exponents reach distinct
+            # monomials, so no two entries land on one slot.
+            C = np.zeros((self.dim,) * k + (len(M),))
+            C[np.nonzero(hit)[1:] + (r.ravel(),)] = coef[hit]
+            self._tables[k] = (M, C)
+        return self._tables[k]
 
     def _check_compatible(self, other):
         if not isinstance(other, SymTensor):
@@ -181,7 +177,10 @@ class SymTensor:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SymTensor":
         coeffs = {tuple(item["exp"]): float(item["value"]) for item in data["coeffs"]}
-        return cls(int(data["order"]), int(data["dim"]), coeffs)
+        order, dim = data["order"], data["dim"]
+        if int(order) != order or int(dim) != dim:
+            raise ValueError(f"order {order!r} and dim {dim!r} must be integral")
+        return cls(int(order), int(dim), coeffs)
 
 
 def sym_rank_one(u, d: int) -> SymTensor:
@@ -282,39 +281,30 @@ def _stack(A: SymTensor, u) -> np.ndarray:
     return U.reshape(-1, A.dim)
 
 
+def _derivative(A: SymTensor, u, k: int) -> np.ndarray:
+    """k-th derivative of u -> <A, u^d> at a point, shape (n,) * k, or at
+    each row of an (S, n) stack, shape (S,) + (n,) * k."""
+    U = _stack(A, u)
+    M, C = A._derivative_table(k)
+    mono = np.prod(U[:, None, :] ** M, axis=2)
+    out = np.vecdot(mono.reshape((len(U),) + (1,) * k + (len(M),)), C)
+    return out.reshape(np.shape(u)[:-1] + (A.dim,) * k)
+
+
 def poly_eval(A: SymTensor, u) -> float | np.ndarray:
     """Value of the form <A, u^d> at a point u (a float) or at each row of an (S, n) stack."""
-    U = _stack(A, u)
-    E, vals, wts = A.arrays()
-    powers = np.prod(U[:, None, :] ** E, axis=2)
-    values = np.vecdot(powers, wts * vals)
-    return float(values[0]) if np.ndim(u) == 1 else values
+    values = _derivative(A, u, 0)
+    return float(values) if np.ndim(u) == 1 else values
 
 
 def poly_grad(A: SymTensor, u) -> np.ndarray:
-    """Gradient of u -> <A, u^d> at a point or each row of a stack; <u, grad> = d * value.
-
-    A stack of S points holds S x (number of exponents) x n floats per work array.
-    """
-    U = _stack(A, u)
-    E, vals, wts = A.arrays()
-    P = U[:, None, :] ** E
-    # left[..., j] and right[..., j]: products of P[..., :j] and P[..., j+1:].
-    one = np.ones(P.shape[:-1] + (1,))
-    left = np.concatenate([one, np.cumprod(P[..., :-1], axis=-1)], axis=-1)
-    right = np.concatenate([np.cumprod(P[..., :0:-1], axis=-1)[..., ::-1], one], axis=-1)
-    dpow = U[:, None, :] ** np.maximum(E - 1, 0)
-    grad = ((wts * vals)[:, None] * E * dpow * left * right).sum(axis=1)
-    return grad.reshape(np.shape(u))
+    """Gradient of u -> <A, u^d> at a point or each row of a stack; <u, grad> = d * value."""
+    return _derivative(A, u, 1)
 
 
 def poly_hess(A: SymTensor, u) -> np.ndarray:
     """Hessian of u -> <A, u^d> at a point, (n, n), or at each row of a stack, (S, n, n)."""
-    U = _stack(A, u)
-    M, C = A.hess_arrays()
-    mono = np.prod(U[:, None, :] ** M, axis=2)
-    hess = np.vecdot(mono[:, None, None, :], C)
-    return hess.reshape(np.shape(u)[:-1] + (A.dim, A.dim))
+    return _derivative(A, u, 2)
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,17 @@ class Tensor3:
         return self.entries.shape
 
     def frob_norm(self) -> float:
-        with np.errstate(over="ignore"):  # inf when the sum of squares overflows
-            return float(np.linalg.norm(self.entries))
+        """Frobenius norm; inf past the float range.
+
+        As symtensor.frob_norm: the entries are scaled by 2^-k, for the power
+        of two 2^k of the largest |entry|, before squaring, and the norm is
+        scaled back, so tiny tensors neither underflow nor lose digits.
+        """
+        k = math.frexp(float(np.abs(self.entries).max(initial=0.0)))[1]
+        try:
+            return math.ldexp(float(np.linalg.norm(np.ldexp(self.entries, -k))), k)
+        except OverflowError:
+            return math.inf
 
     def to_json_dict(self) -> dict:
         return {"dims": list(self.entries.shape), "entries": self.entries.ravel().tolist()}
@@ -69,6 +78,8 @@ class Tensor3:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Tensor3":
         dims = tuple(int(n) for n in data["dims"])
+        if dims != tuple(data["dims"]):
+            raise ValueError(f"dims {data['dims']!r} are not integral")
         return cls(np.asarray(data["entries"], dtype=float).reshape(dims))
 
 
@@ -99,6 +110,11 @@ def _als(T: np.ndarray, cfg: IterConfig | None) -> list:
     if not m:
         return []
     order = len(dims)
+    # Iterate on each tensor scaled by the power of two of its largest
+    # |entry|: the updates are scale-invariant, and the stack keeps clear of
+    # underflow and overflow.
+    scale = np.frexp(np.abs(T).max(axis=tuple(range(1, T.ndim))))[1]
+    T = np.ldexp(T, -scale.reshape((m,) + (1,) * order))
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     factors = []
     for mode in range(order):
@@ -121,8 +137,10 @@ def _als(T: np.ndarray, cfg: IterConfig | None) -> list:
     def finish(done, converged, sweeps):
         for i in np.nonzero(done)[0]:
             best = int(np.argmax(obj[i]))
+            with np.errstate(over="ignore"):  # inf past the float range
+                value = float(np.ldexp(obj[i, best], scale[active[i]]))
             results[active[i]] = ALSResult(
-                value=float(obj[i, best]),
+                value=value,
                 factors=tuple(f[i, best].copy() for f in factors),
                 converged=converged,
                 sweeps=sweeps,

@@ -261,13 +261,18 @@ def test_cli_report_capped_rows(tmp_path, capsys):
 
 def test_cli_report_tiny_tensor(tmp_path):
     # Entries of 1e-300 square to zero; the report still finds the ratio of
-    # the same tensor at unit scale, on both routes, with no warning.
-    for dim in (2, 3):
+    # the same tensor at unit scale, on the binary, power and ALS routes, with
+    # no warning.
+    entries = np.array([1.0, 2.0, -0.5, 1.5, 0.25, -1.0, 3.0, 0.75]).reshape(2, 2, 2)
+    for dim in (2, 3, "2x2x2"):
         ratios = []
         for scale in (1e-300, 1.0):
-            A = SymTensor(3, dim, {e: scale for e in exponent_tuples(dim, 3)})
-            path = tmp_path / f"sym{dim}.json"
-            path.write_text(json.dumps(A.to_json_dict()))
+            if dim == "2x2x2":
+                data = Tensor3(scale * entries).to_json_dict()
+            else:
+                data = SymTensor(3, dim, {e: scale for e in exponent_tuples(dim, 3)}).to_json_dict()
+            path = tmp_path / f"tiny{dim}.json"
+            path.write_text(json.dumps(data))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, out, err = _report([str(path)])
@@ -514,6 +519,7 @@ _ENTRY_DEFECTS = [
     lambda item: item | {"exp": [item["exp"][0] + 1] + item["exp"][1:]},
     lambda item: item | {"exp": ["x"] + item["exp"][1:]},
     lambda item: item | {"exp": 1.5},
+    lambda item: item | {"exp": [item["exp"][0] - 0.5, item["exp"][1] + 0.5] + item["exp"][2:]},
     lambda item: item | {"exp": None},
     lambda item: item | {"value": "abc"},
     lambda item: item | {"value": None},
@@ -526,6 +532,15 @@ _ENTRY_DEFECTS = [
 # Each defect replaces the whole coeffs field.
 _COEFFS_DEFECTS = [5, None, "coeffs", {"exp": [3, 0, 0], "value": 1.0}, [1, 2]]
 
+# Non-integral sizes are rejected, not truncated (the first would read as
+# order 2 at exponent (1, 1)).
+_SIZE_DEFECTS = [
+    {"order": 2.9, "dim": 2, "coeffs": [{"exp": [1.7, 1.2], "value": 1.0}]},
+    {"order": 3.5, "dim": 3, "coeffs": [{"exp": [3, 0, 0], "value": 1.0}]},
+    {"order": 3, "dim": 3.2, "coeffs": [{"exp": [3, 0, 0], "value": 1.0}]},
+    {"dims": [2.5, 2, 2], "entries": [1.0] * 8},
+]
+
 
 def test_cli_report_rejects_malformed_symmetric_file(tmp_path):
     # Each defect alone is a usage error; a huge JSON integer value used to
@@ -534,6 +549,7 @@ def test_cli_report_rejects_malformed_symmetric_file(tmp_path):
                                              {"exp": [1, 1, 1], "value": -0.5}]}
     files = [good | {"coeffs": [defect(good["coeffs"][0]), good["coeffs"][1]]} for defect in _ENTRY_DEFECTS]
     files += [good | {"coeffs": coeffs} for coeffs in _COEFFS_DEFECTS]
+    files += _SIZE_DEFECTS
     for payload in files:
         path = tmp_path / "sym.json"
         path.write_text(json.dumps(payload))

@@ -253,32 +253,41 @@ def test_poly_grad_power_case():
         poly_eval(A, np.ones((2, 2, 2)))
 
 
-def _dense_hess(A, x):
-    """d(d-1) A contracted with x in all but two modes, from the dense array."""
+def _dense_derivative(A, x, k):
+    """d!/(d-k)! A contracted with x in all but k modes, from the dense array;
+    zero past the order."""
+    if k > A.order:
+        return np.zeros((A.dim,) * k)
     T = to_dense(A)
-    for _ in range(A.order - 2):
+    for _ in range(A.order - k):
         T = T @ x
-    return A.order * (A.order - 1) * T if A.order >= 2 else np.zeros((A.dim, A.dim))
+    return math.perm(A.order, k) * T
 
 
 def test_poly_hess_matches_dense_oracle(rng):
-    # Dense and sparse forms of orders 1..6 in dims 1..4; each row of a stack
-    # equals the one-point call bit for bit.
-    for _ in range(30):
+    # Gradients and Hessians of dense and sparse forms of orders 1..6 in dims
+    # 1..4, with orders 1 and 2 in the first ten trials; each row of a stack
+    # equals the one-point call bit for bit, and a derivative past the order
+    # is exactly zero.
+    for trial in range(40):
         n = int(rng.integers(1, 5))
-        d = int(rng.integers(1, 7))
+        d = trial % 2 + 1 if trial < 10 else int(rng.integers(1, 7))
         coeffs = {e: rng.standard_normal() for e in exponent_tuples(n, d) if rng.random() < 0.7}
         A = SymTensor(d, n, coeffs)
         X = rng.standard_normal((5, n))
-        H = poly_hess(A, X)
-        assert H.shape == (5, n, n)
-        for x, h in zip(X, H):
-            expected = _dense_hess(A, x)
-            assert np.allclose(h, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max(initial=1.0))
+        G, H = poly_grad(A, X), poly_hess(A, X)
+        assert G.shape == (5, n) and H.shape == (5, n, n)
+        for x, g, h in zip(X, G, H):
+            for got, expected in ((g, _dense_derivative(A, x, 1)), (h, _dense_derivative(A, x, 2))):
+                assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max(initial=1.0))
+            assert np.array_equal(g, poly_grad(A, x))
             assert np.array_equal(h, poly_hess(A, x))
             assert np.array_equal(h, h.T)
+        if d <= 2:  # at d = 1 this is the Hessian
+            past = symtensor._derivative(A, X, d + 1)
+            assert past.shape == (5,) + (n,) * (d + 1) and not past.any()
         # Euler: H x = (d - 1) grad.
-        assert np.allclose(np.einsum("sij,sj->si", H, X), (d - 1) * poly_grad(A, X), rtol=1e-10, atol=1e-10)
+        assert np.allclose(np.einsum("sij,sj->si", H, X), (d - 1) * G, rtol=1e-10, atol=1e-10)
     A = sym_rank_one([1.0, 0.0], 3)
     assert poly_hess(A, [2.0, 5.0]).tolist() == [[12.0, 0.0], [0.0, 0.0]]
     assert poly_hess(A, np.ones((0, 2))).shape == (0, 2, 2)

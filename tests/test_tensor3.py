@@ -41,6 +41,9 @@ def test_tensor3_validation_and_json():
     assert data["dims"] == [2, 3, 2]
     back = Tensor3.from_json_dict(data)
     assert np.array_equal(back.entries, T.entries)
+    # a non-integral size is rejected, not truncated
+    with pytest.raises(ValueError, match="not integral"):
+        Tensor3.from_json_dict({"dims": [2.5, 2, 2], "entries": [1.0] * 8})
 
 
 def test_spectral_norm_3_rank_one():
@@ -81,6 +84,37 @@ def test_als_general_order(rng):
     T = 2.5 * np.einsum("i,j,k,l->ijkl", u, v, w, z)
     res = als_spectral_norm(T, IterConfig(starts=8, tol=1e-14, seed=0))
     assert res.value == pytest.approx(2.5, rel=1e-10)
+
+
+def test_als_scale_equivariance(rng):
+    # ALS iterates on each tensor scaled by the power of two of its largest
+    # |entry|, so 2^j T gets the iterates and sweeps of T and 2^j times its
+    # value, bit for bit, down to 2^-1000.
+    stack = rng.standard_normal((4, 2, 2, 2))
+    single = rng.standard_normal((2, 3, 2))
+    base = als_spectral_norm_batch(stack, CFG) + [als_spectral_norm(single, CFG)]
+    for j in (-1000, -3, 0, 500):
+        scaled = (als_spectral_norm_batch(math.ldexp(1.0, j) * stack, CFG)
+                  + [als_spectral_norm(math.ldexp(1.0, j) * single, CFG)])
+        for res, ref in zip(scaled, base):
+            assert res.value == math.ldexp(ref.value, j)
+            assert (res.sweeps, res.converged) == (ref.sweeps, ref.converged)
+            assert all(np.array_equal(f, g) for f, g in zip(res.factors, ref.factors))
+    assert als_spectral_norm(np.full((2, 2, 2), 1e307), CFG).value == pytest.approx(math.sqrt(8.0) * 1e307)
+    assert als_spectral_norm(np.full((2, 2, 2), 1e308), CFG).value == math.inf
+
+
+def test_tensor3_frob_norm_scaling(rng):
+    # The power-of-two scaling is exact: in the normal range the norm has the
+    # bits of the unscaled one; tiny entries no longer underflow.
+    for _ in range(100):
+        T = rng.standard_normal((2, 3, 2)) * 10.0 ** rng.integers(-100, 100)
+        assert Tensor3(T).frob_norm() == float(np.linalg.norm(T))
+    for scale in (1e-160, 1e-300):
+        assert Tensor3(np.full((2, 2, 2), scale)).frob_norm() == pytest.approx(
+            math.sqrt(8.0) * scale, rel=1e-15, abs=0.0)
+    assert Tensor3(np.full((2, 2, 2), 1e308)).frob_norm() == math.inf
+    assert Tensor3(np.zeros((2, 2, 2))).frob_norm() == 0.0
 
 
 def test_banach_symmetric_agreement(rng):
