@@ -119,16 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _iter_config(args, obj) -> IterConfig:
-    """IterConfig with the given flags; with --seed alone, the solver's defaults."""
+    """The solver's defaults, with the seed and each iteration flag given."""
     overrides = {
         name: getattr(args, name)
         for name in ("tol", "starts", "max_iters")
         if getattr(args, name) is not None
     }
-    if overrides:
-        return IterConfig(seed=args.seed, **overrides)
-    return dataclasses.replace(ALS_CONFIG if isinstance(obj, Tensor3) else IterConfig(),
-                               seed=args.seed)
+    base = ALS_CONFIG if isinstance(obj, Tensor3) else IterConfig()
+    return dataclasses.replace(base, seed=args.seed, **overrides)
 
 
 def _cmd_report(args) -> int:

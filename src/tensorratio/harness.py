@@ -258,15 +258,19 @@ def sample_rank_two_params(rng: np.random.Generator, d: int, case: str | None = 
         return canonical_params(alpha, beta, u, v, d)
 
 
-def _sample_rank_two_stack(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Stack of m random rank-two 2x2x2 tensors from unit factor pairs."""
+def _sample_rank_two_stack(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """Stack of m random rank-two tensors u1 x ... x ud + v1 x ... x vd of
+    order d over R^2.
 
-    def unit(shape):
-        x = rng.standard_normal(shape)
-        return x / np.linalg.norm(x, axis=-1, keepdims=True)
-
-    u1, u2, u3, v1, v2, v3 = (unit((m, 2)) for _ in range(6))
-    return np.einsum("mi,mj,mk->mijk", u1, u2, u3) + np.einsum("mi,mj,mk->mijk", v1, v2, v3)
+    The 2d unit factors are drawn as one (2, d, m, 2) array, in the order
+    u1..ud, v1..vd, each an (m, 2) block of the stream.
+    """
+    uv = rng.standard_normal((2, d, m, 2))
+    uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
+    stack = uv[:, 0]
+    for mode in range(1, d):
+        stack = stack[..., None] * uv[:, mode].reshape((2, m) + (1,) * mode + (2,))
+    return stack[0] + stack[1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,27 +421,25 @@ def _suite_border_scan(seed: int, budget: int | None) -> SuiteResult:
     return SuiteResult("border-scan", cases, failures, seed=seed)
 
 
-def _screen_ratios_3(stack: np.ndarray, bound: float, seed: int) -> np.ndarray:
-    """Ratios of a stack of third-order tensors: one batched screen, then the
-    full single-tensor solver on every sample within 1e-3 of the bound, so
-    local maxima cannot masquerade as counterexamples."""
+def _screen_ratios(stack: np.ndarray, bound: float, seed: int) -> np.ndarray:
+    """Ratios of a stack of dense tensors: one batched screen, then the full
+    solver, as one stack, on every sample within 1e-3 of the bound, so local
+    maxima cannot masquerade as counterexamples."""
     screen = als_spectral_norm_batch(stack, IterConfig(starts=8, tol=1e-12, max_iters=400, seed=seed))
     fros = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
     ratios = np.array([res.value for res in screen]) / fros
-    for idx in np.nonzero(ratios <= bound + 1e-3)[0]:
-        exact = ratio_3(Tensor3(stack[idx]), dataclasses.replace(ALS_CONFIG, seed=seed))
-        ratios[idx] = max(ratios[idx], exact)
+    near = np.nonzero(ratios <= bound + 1e-3)[0]
+    full = als_spectral_norm_batch(stack[near], dataclasses.replace(ALS_CONFIG, seed=seed))
+    ratios[near] = np.maximum(ratios[near], np.array([res.value for res in full]) / fros[near])
     return ratios
 
 
 def _suite_thm3_bound(seed: int, budget: int | None) -> SuiteResult:
     m = budget or 10_000
     failures: list = []
-    rng = rng_for(seed, 5)
-    stack = _sample_rank_two_stack(rng, m)
-    keep = hyperdet_stack(stack) > 0.0
-    stack = stack[keep]
-    ratios = _screen_ratios_3(stack, 2.0 / 3.0, seed)
+    stack = _sample_rank_two_stack(rng_for(seed, 5), m, 3)
+    stack = stack[hyperdet_stack(stack) > 0.0]
+    ratios = _screen_ratios(stack, 2.0 / 3.0, seed)
     cases = int(len(stack))
     for idx in np.nonzero(~(ratios > 2.0 / 3.0 - 1e-9))[0]:
         _record(failures, ratio=float(ratios[idx]), entries=stack[idx].ravel().tolist())
@@ -588,22 +590,8 @@ def search_counterexample(d: int, cfg: SearchConfig | None = None) -> dict:
     cfg = cfg or SearchConfig()
     samples = cfg.budget
     bound = extremal_ratio(d)
-    rng = rng_for(cfg.seed, 6, d)
-    if d == 3:
-        stack = _sample_rank_two_stack(rng, samples)
-        ratios = _screen_ratios_3(stack, bound, cfg.seed)
-    else:
-        # Per sample: d unit factors u, then d unit factors v.  vecdot is the
-        # dot product that np.linalg.norm takes of a single vector.
-        uv = rng.standard_normal((samples, 2, d, 2))
-        uv /= np.sqrt(np.vecdot(uv, uv))[..., None]
-        stack = uv[:, :, 0]
-        for mode in range(1, d):
-            stack = stack[..., None] * uv[:, :, mode].reshape((samples, 2) + (1,) * mode + (2,))
-        stack = stack[:, 0] + stack[:, 1]
-        screen = als_spectral_norm_batch(stack, IterConfig(starts=6, tol=1e-13, seed=cfg.seed))
-        flat = stack.reshape(samples, -1)
-        ratios = np.array([res.value for res in screen]) / np.sqrt(np.vecdot(flat, flat))
+    stack = _sample_rank_two_stack(rng_for(cfg.seed, 6, d), samples, d)
+    ratios = _screen_ratios(stack, bound, cfg.seed)
     worst_idx = int(np.argmin(ratios))
     worst = float(ratios[worst_idx])
     worst_entries = stack[worst_idx].ravel().tolist()

@@ -71,7 +71,6 @@ class CaseTag(enum.Enum):
     SUM = "sum"          # beta <= 0: effectively a sum of two rank-one terms
     EQUAL = "equal"      # alpha = beta > 0 within EQUAL_RTOL
     GENERIC = "generic"  # alpha > beta > 0
-    BORDER = "border"    # boundary tensors a*u^d + b*d*u^(d-1)v
 
 
 def _as_unit(name, x):

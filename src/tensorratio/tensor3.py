@@ -195,8 +195,6 @@ def als_spectral_norm(T: np.ndarray, cfg: IterConfig | None = None) -> ALSResult
 
 def spectral_norm_3(T: Tensor3, cfg: IterConfig | None = None) -> ALSResult:
     """Alternating maximization of <T, u1 x u2 x u3> over unit factors."""
-    if T.entries.ndim != 3:
-        raise ValueError("spectral_norm_3 needs a third-order tensor")
     return als_spectral_norm(T.entries, cfg)
 
 
@@ -208,9 +206,13 @@ def ratio_3(T: Tensor3, cfg: IterConfig | None = None) -> float:
     return spectral_norm_3(T, cfg).value / fro
 
 
-def _hyperdet_formula(t: np.ndarray) -> np.ndarray:
-    """Degree-4 invariant of (..., 2, 2, 2) arrays: the discriminant of the
-    slice pencil det(M0 + x M1); positive exactly on real-rank-two tensors."""
+def hyperdet_stack(stack: np.ndarray) -> np.ndarray:
+    """Cayley's hyperdeterminant over the leading axes of (..., 2, 2, 2): the
+    discriminant of the slice pencil det(M0 + x M1), positive exactly on
+    real-rank-two tensors."""
+    t = np.asarray(stack, dtype=float)
+    if t.shape[-3:] != (2, 2, 2):
+        raise ValueError(f"hyperdeterminant needs trailing dims (2, 2, 2), got {t.shape}")
     b = (
         t[..., 0, 0, 0] * t[..., 1, 1, 1]
         + t[..., 0, 1, 1] * t[..., 1, 0, 0]
@@ -223,22 +225,13 @@ def _hyperdet_formula(t: np.ndarray) -> np.ndarray:
 
 
 def hyperdet(T: Tensor3) -> float:
-    """Cayley's hyperdeterminant of a 2x2x2 tensor.
+    """Cayley's hyperdeterminant of a 2x2x2 tensor, the one-tensor case of
+    hyperdet_stack.
 
     Vanishes on rank-one tensors and on the border of the rank-two set; its
     sign equals the sign of d^2 + 4abc on embedded normal forms.
     """
-    if T.dims != (2, 2, 2):
-        raise ValueError(f"hyperdeterminant needs dims (2, 2, 2), got {T.dims}")
-    return float(_hyperdet_formula(T.entries))
-
-
-def hyperdet_stack(stack: np.ndarray) -> np.ndarray:
-    """Vectorized hyperdeterminant over the leading axes of (..., 2, 2, 2)."""
-    stack = np.asarray(stack, dtype=float)
-    if stack.shape[-3:] != (2, 2, 2):
-        raise ValueError("trailing dims must be (2, 2, 2)")
-    return _hyperdet_formula(stack)
+    return float(hyperdet_stack(T.entries))
 
 
 @dataclass(frozen=True)

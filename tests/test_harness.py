@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -26,9 +27,9 @@ from tensorratio.harness import (
     search_min_ratio,
     sweep_rows,
 )
-from tensorratio.ranktwo import classify_case, CaseTag
+from tensorratio.ranktwo import CaseTag, classify_case, extremal_ratio
 from tensorratio.symtensor import SymTensor, exponent_tuples, frob_norm, sym_rank_one
-from tensorratio.tensor3 import ALS_CONFIG, Tensor3
+from tensorratio.tensor3 import ALS_CONFIG, Tensor3, als_spectral_norm
 
 
 def test_parse_builtin_grammar():
@@ -195,17 +196,49 @@ def test_search_counterexample_d3():
 def test_search_counterexample_d4():
     rep = search_counterexample(4, SearchConfig(budget=40, seed=0))
     assert rep["samples"] == 40
-    # Pinned bit for bit: the samples are drawn in a fixed order and every
-    # sample gets the same random ALS starts.
-    assert rep["min_ratio_observed"] == 0.6843185521837628
-    assert rep["worst_entries"] == [
-        -0.34982230558169447, -0.20105852318312326, -0.46733871445335207, -0.045531670090812534,
-        0.06601382406783579, -0.5713829320418216, -0.2540209470939381, -0.16934157068351735,
-        -0.27645074143977955, 0.14388004688704933, -0.19927721833549772, 0.05243207584329889,
-        -0.4123107373029229, 0.35467025929300505, -0.21853779029575718, 0.11910576959409247,
-    ]
+    # The documented draw order, replayed: from the stream with spawn key
+    # (6, d), the unit factors u1..ud, then v1..vd, each an (m, 2) block.
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(6, 4)))
+    f = [rng.standard_normal((40, 2)) for _ in range(8)]
+    f = [x / np.linalg.norm(x, axis=1, keepdims=True) for x in f]
+    samples = np.einsum("mi,mj,mk,ml->mijkl", *f[:4]) + np.einsum("mi,mj,mk,ml->mijkl", *f[4:])
+    assert any(s.ravel().tolist() == rep["worst_entries"] for s in samples)
+    # Pinned bit for bit: every sample gets the same random ALS starts.
+    assert rep["min_ratio_observed"] == 0.7019771537556813
+    assert rep["counterexamples_found"] == 0
     with pytest.raises(UsageError):
         search_counterexample(2, SearchConfig(budget=10, seed=0))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_screen_rejudges_rows_near_the_bound(d, monkeypatch):
+    # ((e1 + eps e2)^d - e1^d) / eps sits just above the bound at eps = 1e-3
+    # and 1e-4, within the screen's 1e-3, so both rows go to the full solver
+    # in one stacked call.  The random rank-two rows sit far above and keep
+    # their screen ratio.
+    e1, e2 = np.eye(2)
+
+    def power(x):
+        return functools.reduce(np.multiply.outer, [x] * d)
+
+    near = [(power(e1 + eps * e2) - power(e1)) / eps for eps in (1e-3, 1e-4)]
+    stack = np.concatenate([harness._sample_rank_two_stack(rng_for(0, 9, d), 6, d), near])
+    stack = stack[[0, 6, 1, 2, 3, 7, 4, 5]]
+    bound = extremal_ratio(d)
+    batch = harness.als_spectral_norm_batch
+    sizes = []
+    monkeypatch.setattr(harness, "als_spectral_norm_batch",
+                        lambda T, cfg: sizes.append(len(T)) or batch(T, cfg))
+    ratios = harness._screen_ratios(stack, bound, 3)
+    assert sizes == [8, 2]
+    fros = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
+    screen = [res.value / fro for res, fro in
+              zip(batch(stack, IterConfig(starts=8, tol=1e-12, max_iters=400, seed=3)), fros)]
+    flagged = [r <= bound + 1e-3 for r in screen]
+    assert flagged == [False, True, False, False, False, True, False, False]
+    for T, fro, r, f, got in zip(stack, fros, screen, flagged, ratios):
+        full = als_spectral_norm(T, dataclasses.replace(ALS_CONFIG, seed=3)).value / fro
+        assert got == (max(r, full) if f else r)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +640,21 @@ def test_cli_report_seed_alone(tmp_path, capsys):
     # The ALS defaults (32 starts, tol 1e-14) stay in force under --seed.
     expected = report_for(parse_tensor_spec(str(t3)), str(t3), dataclasses.replace(ALS_CONFIG, seed=5))
     assert json.loads(outs[2]) == json.loads(json.dumps(expected.to_json_dict()))
+
+
+def test_cli_report_flags_keep_the_other_defaults(tmp_path, capsys):
+    # Each iteration flag sets its own field only: --starts 8 on a dense file
+    # keeps the ALS tol 1e-14, and --tol or --max-iters keeps its 32 starts.
+    path = tmp_path / "t222.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2],
+                                "entries": np.random.default_rng(11).standard_normal(8).tolist()}))
+    T = parse_tensor_spec(str(path))
+    for flags, fields in ((["--starts", "8"], dict(starts=8)),
+                          (["--tol", "1e-10", "--seed", "4"], dict(tol=1e-10, seed=4)),
+                          (["--max-iters", "3"], dict(max_iters=3))):
+        assert main(["report", str(path), *flags]) == 0
+        expected = report_for(T, str(path), dataclasses.replace(ALS_CONFIG, **{"seed": 0, **fields}))
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected.to_json_dict())), flags
 
 
 def test_cli_report_starts_flag(tmp_path, capsys):

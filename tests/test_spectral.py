@@ -250,20 +250,34 @@ def _rotate(A, Q):
                                      for e in exponent_tuples(A.dim, A.order)})
 
 
+def _same_points_up_to_sign(P, Q, atol):
+    """Whether P and Q have as many points, each within atol of a point of
+    the other list or of its antipode."""
+    P, Q = np.array(P), np.array(Q)
+    if P.shape != Q.shape:
+        return False
+    dist = np.minimum(np.abs(P[:, None] - Q[None]).max(axis=2), np.abs(P[:, None] + Q[None]).max(axis=2))
+    return bool((dist.min(axis=1) <= atol).all() and (dist.min(axis=0) <= atol).all())
+
+
 def test_power_orthogonal_invariance(rng):
-    # Rotations do not change the spectral norm: a rotated rank-one form has
-    # norm 1, and the extremal W_d embedded in dim 3 and rotated keeps its
-    # closed-form norm.
+    # Rotations do not change the spectral norm and rotate the maximizers: a
+    # rotated rank-one form has norm 1 at +-Q u, and the extremal W_d
+    # embedded in dim 3 and rotated keeps its closed-form norm, at Q times
+    # the maximizers of W_d.
     for d in range(3, 9):
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
         ms = spectral_norm_power(sym_rank_one(Q @ u, d), IterConfig(starts=4, seed=d))
         assert ms.value == pytest.approx(1.0, abs=1e-10)
+        assert _same_points_up_to_sign(ms.points, [Q @ u], 1e-8)
         W = SymTensor(d, 3, {(e[0], e[1], 0): v for e, v in extremal_tensor(d).items()})
         ms = spectral_norm_power(_rotate(W, Q), IterConfig(starts=8, seed=d))
         assert ms.value == pytest.approx(extremal_spectral_norm(d), abs=1e-10)
         assert ms.converged
+        expected = [Q @ np.append(w, 0.0) for w in spectral_norm_binary(extremal_tensor(d)).points]
+        assert _same_points_up_to_sign(ms.points, expected, 1e-6), d
 
 
 def test_best_rank_one_residual(rng):
@@ -321,6 +335,8 @@ def test_scaling_equivariance(rng):
 
 
 def test_orthogonal_invariance(rng):
+    # B is A in the rotated frame R = [q1 q2]: p_B(w) = p_A(R w), so the
+    # ratios agree and R maps B's maximizers onto A's, up to sign.
     from tensorratio.symtensor import restrict_to_plane
 
     for _ in range(10):
@@ -329,8 +345,11 @@ def test_orthogonal_invariance(rng):
         phi = rng.uniform(0, 2 * np.pi)
         q1 = np.array([math.cos(phi), math.sin(phi)])
         q2 = np.array([-math.sin(phi), math.cos(phi)])
-        B, _ = restrict_to_plane(A, q1, q2)
+        B, frame = restrict_to_plane(A, q1, q2)
         assert ratio(B) == pytest.approx(ratio(A), abs=1e-10)
+        R = np.column_stack([frame.q1, frame.q2])
+        rotated = [R @ w for w in spectral_norm_binary(B).points]
+        assert _same_points_up_to_sign(spectral_norm_binary(A).points, rotated, 1e-8), d
 
 
 def test_maximizer_set_counts_and_json(rng):
