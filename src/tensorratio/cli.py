@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -177,14 +178,17 @@ def _cmd_search(args) -> int:
         budget=args.budget or 10_000,
         seed=args.seed,
     )
-    if args.target == "min-ratio-sym":
-        payload, trace = search_min_ratio(args.d, cfg)
-    else:
-        payload, trace = search_counterexample(args.d, cfg), []
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for entry in trace:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    # Open the trace first: an unwritable path fails before the search runs.
+    try:
+        sink = open(args.trace, "w", encoding="utf-8") if args.trace else io.StringIO()
+    except OSError as exc:
+        raise UsageError(f"--trace: {exc}") from None
+    with sink:
+        if args.target == "min-ratio-sym":
+            payload, trace = search_min_ratio(args.d, cfg)
+        else:
+            payload, trace = search_counterexample(args.d, cfg), []
+        sink.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in trace)
     _emit_json(payload, sys.stdout)
     return 0
 

@@ -18,10 +18,11 @@ import numpy as np
 from .config import IterConfig, SearchConfig
 from .ranktwo import (
     BorderParams,
-    RankTwoParams,
     border_ratio_scan,
     canonical_params,
+    chart_batch,
     critical_equation_roots_batch,
+    equal_diff_chart,
     equal_diff_ratio_lb,
     extremal_ratio,
     extremal_ratio_sq,
@@ -29,9 +30,8 @@ from .ranktwo import (
     make_border,
     make_rank_two,
     min_ratio_search,
-    ratio_squared_batch,
 )
-from .spectral import binary_coeffs, spectral_norm, spectral_norm_binary, spectral_norm_binary_batch
+from .spectral import spectral_norm, spectral_norm_binary
 from .symtensor import SymTensor, frob_norm
 from .tensor3 import (
     ALS_CONFIG,
@@ -53,7 +53,7 @@ __all__ = [
     "report_for",
     "rng_for",
     "run_suite",
-    "sample_rank_two_params",
+    "sample_rank_two_charts",
     "search_counterexample",
     "search_min_ratio",
     "sweep_rows",
@@ -207,6 +207,8 @@ def parse_tensor_spec(text: str):
             data = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"no such tensor file or builtin: {text!r}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{text}: cannot read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{text}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
     kind = None
@@ -225,37 +227,35 @@ def parse_tensor_spec(text: str):
 # ---------------------------------------------------------------------------
 
 
-def sample_rank_two_params(rng: np.random.Generator, d: int, case: str | None = None) -> RankTwoParams:
-    """Random canonical rank-two parameters over R^2.
+def sample_rank_two_charts(rng: np.random.Generator, m: int, case: str | None = None) -> np.ndarray:
+    """m random canonical rank-two forms alpha*e1^d - beta*v^d over R^2, as
+    (m, 3) chart rows (alpha, beta, theta) with v = (cos theta, sin theta).
 
-    case=None mixes signs of beta; "sum" forces beta < 0, "generic" forces
-    alpha > beta > 0 with a small working margin, "equal" sets alpha = beta.
+    theta ~ U(1e-5, pi/2), the angle between two uniform directions folded
+    to <u, v> >= 0, with 1 - <u, v>^2 <= 1e-10 left out; |alpha| and |beta|
+    are lognormal.  case=None gives beta a random sign, "sum" forces
+    beta < 0, and "generic" forces alpha > beta (1 + 1e-6) > 0.  Rows with
+    beta > 0 have alpha >= beta.
+
+    Draw order: the m angles, then the (m, 2) lognormal exponents of
+    (alpha, beta); under "generic" each round of tied rows redraws its
+    exponents, in row order, until none tie; under case=None, m uniforms
+    then give beta its sign (positive below 1/2).
     """
-    while True:
-        phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        u = np.array([math.cos(phi1), math.sin(phi1)])
-        v = np.array([math.cos(phi2), math.sin(phi2)])
-        if float(u @ v) < 0.0:
-            v = -v
-        uv = float(u @ v)
-        if 1.0 - uv * uv <= 1e-10:
-            continue
-        if case is None:
-            alpha = math.exp(rng.normal())
-            beta = math.exp(rng.normal()) * (1.0 if rng.random() < 0.5 else -1.0)
-        elif case == "sum":
-            alpha = math.exp(rng.normal())
-            beta = -math.exp(rng.normal())
-        elif case == "generic":
-            lo, hi = sorted(math.exp(x) for x in rng.normal(size=2))
-            if hi <= lo * (1.0 + 1e-6):
-                continue
-            alpha, beta = hi, lo
-        elif case == "equal":
-            alpha = beta = math.exp(rng.normal())
-        else:
-            raise ValueError(f"unknown case {case!r}")
-        return canonical_params(alpha, beta, u, v, d)
+    if case not in (None, "sum", "generic"):
+        raise ValueError(f"unknown case {case!r}")
+    theta = rng.uniform(1e-5, 0.5 * math.pi, m)
+    mags = np.exp(rng.standard_normal((m, 2)))
+    if case == "generic":
+        while (tied := mags.max(axis=1) <= mags.min(axis=1) * (1.0 + 1e-6)).any():
+            mags[tied] = np.exp(rng.standard_normal((int(tied.sum()), 2)))
+    alpha, beta = mags[:, 0], mags[:, 1]
+    if case == "sum":
+        beta = -beta
+    elif case is None:
+        beta = np.where(rng.random(m) < 0.5, beta, -beta)
+    swap = beta > alpha
+    return np.column_stack([np.where(swap, beta, alpha), np.where(swap, alpha, beta), theta])
 
 
 def _sample_rank_two_stack(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
@@ -307,19 +307,23 @@ def _record(failures: list, **info):
         failures.append(info)
 
 
+def _ratios_sq(rows, d: int) -> list[float]:
+    """Squared spectral-to-Frobenius ratio of each chart row, in one solve."""
+    return [ms.value**2 / fro_sq for ms, _, fro_sq in chart_batch(rows, d)]
+
+
 def _suite_thm1_bound(seed: int, budget: int | None) -> SuiteResult:
     per_d = budget or 10_000
     failures: list = []
     cases = 0
     for d in (3, 4, 5, 6):
         bound = extremal_ratio_sq(d)
-        rng = rng_for(seed, 1, d)
-        ps = [sample_rank_two_params(rng, d) for _ in range(per_d)]
-        for p, value in zip(ps, ratio_squared_batch(ps, d)):
+        rows = sample_rank_two_charts(rng_for(seed, 1, d), per_d).tolist()
+        for (alpha, beta, theta), value in zip(rows, _ratios_sq(rows, d)):
             cases += 1
             if not value > bound - 1e-9:
                 _record(failures, d=d, F=value, bound=bound,
-                        alpha=p.alpha, beta=p.beta, uv=float(p.u @ p.v))
+                        alpha=alpha, beta=beta, uv=math.cos(theta))
     return SuiteResult("thm1-bound", cases, failures, seed=seed)
 
 
@@ -328,12 +332,11 @@ def _suite_prop_sum(seed: int, budget: int | None) -> SuiteResult:
     failures: list = []
     cases = 0
     for d in range(3, 9):
-        rng = rng_for(seed, 2, d)
-        ps = [sample_rank_two_params(rng, d, case="sum") for _ in range(per_d)]
-        for p, value in zip(ps, ratio_squared_batch(ps, d)):
+        rows = sample_rank_two_charts(rng_for(seed, 2, d), per_d, case="sum").tolist()
+        for (alpha, beta, _), value in zip(rows, _ratios_sq(rows, d)):
             cases += 1
             if not value >= 0.5 - 1e-12:
-                _record(failures, d=d, F=value, alpha=p.alpha, beta=p.beta)
+                _record(failures, d=d, F=value, alpha=alpha, beta=beta)
     return SuiteResult("prop-sum", cases, failures, seed=seed)
 
 
@@ -344,8 +347,8 @@ def _suite_prop_equal(seed: int, budget: int | None) -> SuiteResult:
     for d in range(3, 9):
         bound = extremal_ratio_sq(d)
         ts = np.geomspace(1e-4, 1.0, steps)
-        ps = [canonical_params(1.0, 1.0, np.array([1.0, t]), np.array([1.0, -t]), d) for t in ts]
-        for t, value in zip(ts, ratio_squared_batch(ps, d)):
+        rows = [equal_diff_chart(d, t) for t in ts.tolist()]
+        for t, value in zip(ts, _ratios_sq(rows, d)):
             cases += 1
             if not value > bound:
                 _record(failures, d=d, t=float(t), F=value, bound=bound)
@@ -388,15 +391,13 @@ def _suite_prop_unique(seed: int, budget: int | None) -> SuiteResult:
     failures: list = []
     cases = 0
     for d in range(3, 8):
-        rng = rng_for(seed, 4, d)
-        ps = [sample_rank_two_params(rng, d, case="generic") for _ in range(per_d)]
-        sets = spectral_norm_binary_batch(np.array([binary_coeffs(make_rank_two(p, d)) for p in ps]))
-        for p, ms in zip(ps, sets):
+        rows = sample_rank_two_charts(rng_for(seed, 4, d), per_d, case="generic").tolist()
+        for (alpha, beta, theta), (ms, _, _) in zip(rows, chart_batch(rows, d)):
             count = len(ms.points)
             cases += 1
             if count != 1:
-                _record(failures, d=d, count=count, alpha=p.alpha, beta=p.beta,
-                        uv=float(p.u @ p.v))
+                _record(failures, d=d, count=count, alpha=alpha, beta=beta,
+                        uv=math.cos(theta))
     return SuiteResult("prop-unique", cases, failures, seed=seed)
 
 
@@ -501,10 +502,9 @@ def _sweep_diff_t(d: int, steps: int, tmin: float):
         raise UsageError("diff_t needs 0 < tmin < 1")
     bound = extremal_ratio_sq(d)
     ts = np.geomspace(tmin, 1.0, steps).tolist()
-    ps = [canonical_params(1.0, 1.0, np.array([1.0, t]), np.array([1.0, -t]), d) for t in ts]
     rows = [
         [t, value, equal_diff_ratio_lb(d, t), bound]
-        for t, value in zip(ts, ratio_squared_batch(ps, d))
+        for t, value in zip(ts, _ratios_sq([equal_diff_chart(d, t) for t in ts], d))
     ]
     return ["t", "ratio_sq", "family_lb", "bound"], rows
 
@@ -564,7 +564,7 @@ def search_min_ratio(d: int, cfg: SearchConfig | None = None):
         "best_ratio": res.ratio,
         "best_ratio_sq": res.value,
         "bound_ratio": extremal_ratio(d),
-        "bound_ratio_sq": extremal_ratio(d) ** 2,
+        "bound_ratio_sq": extremal_ratio_sq(d),
         "alpha": res.alpha,
         "beta": res.beta,
         "theta": res.theta,

@@ -39,9 +39,11 @@ __all__ = [
     "RatioGrad",
     "border_ratio_scan",
     "canonical_params",
+    "chart_batch",
     "classify_case",
     "critical_equation_roots",
     "critical_equation_roots_batch",
+    "equal_diff_chart",
     "equal_diff_frob_sq",
     "equal_diff_ratio_lb",
     "equal_diff_spectral_lb",
@@ -56,7 +58,6 @@ __all__ = [
     "min_ratio_search",
     "project_pair",
     "ratio_squared",
-    "ratio_squared_batch",
     "ratio_squared_grad",
 ]
 
@@ -238,62 +239,47 @@ def _pair_frob_sq(alpha: float, beta: float, one_minus_cd: float) -> float:
     return (alpha - beta) ** 2 + 2.0 * alpha * beta * one_minus_cd
 
 
-def _family_coeffs(alpha: float, beta: float, theta: float, d: int, one_minus_cd: float) -> np.ndarray:
-    """Dehomogenized coefficients of alpha*e1^d - beta*v^d, v = (cos t, sin t).
-
-    The leading coefficient is assembled as (alpha - beta) + beta*(1 - cos^d)
-    to avoid cancellation along the small-angle drift.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    coeffs = np.empty(d + 1)
-    for k in range(d):
-        coeffs[k] = -math.comb(d, k) * beta * c**k * s ** (d - k)
-    coeffs[d] = (alpha - beta) + beta * one_minus_cd
-    return coeffs
-
-
 def _chart_row(alpha: float, beta: float, theta: float, d: int):
     """Coefficients, 1 - cos^d and squared Frobenius norm of alpha*e1^d - beta*v^d.
 
     v = (cos theta, sin theta).  Every rank-two ratio goes through this chart;
     plane_frame(u, v) maps its axes onto u and Gram-Schmidt(v) in any dimension.
+    The leading coefficient of the dehomogenized form is assembled as
+    (alpha - beta) + beta*(1 - cos^d) to avoid cancellation along the
+    small-angle drift.
     """
     one_minus_cd = _cos_gap_pow(theta, d)
-    coeffs = _family_coeffs(alpha, beta, theta, d, one_minus_cd)
+    c, s = math.cos(theta), math.sin(theta)
+    coeffs = np.empty(d + 1)
+    for k in range(d):
+        coeffs[k] = -math.comb(d, k) * beta * c**k * s ** (d - k)
+    coeffs[d] = (alpha - beta) + beta * one_minus_cd
     return coeffs, one_minus_cd, _pair_frob_sq(alpha, beta, one_minus_cd)
 
 
-def _chart_batch(rows, d: int) -> list:
-    """_chart_row of each (alpha, beta, theta) in rows, solved in one stack.
+def chart_batch(rows, d: int) -> list:
+    """Solve each chart row (alpha, beta, theta) of alpha*e1^d - beta*v^d in one stack.
 
-    Each entry is (maximizer set, 1 - cos^d, squared Frobenius norm).
+    v = (cos theta, sin theta).  Each entry is (maximizer set, 1 - cos^d,
+    squared Frobenius norm); the squared ratio is value^2 / Frobenius^2.
     """
     charts = [_chart_row(alpha, beta, theta, d) for alpha, beta, theta in rows]
     sets = spectral_norm_binary_batch(np.array([c for c, _, _ in charts]).reshape(-1, d + 1))
     return [(ms, one_minus_cd, fro_sq) for ms, (_, one_minus_cd, fro_sq) in zip(sets, charts)]
 
 
-def _chart(alpha: float, beta: float, theta: float, d: int):
-    """The one-row case of _chart_batch."""
-    return _chart_batch([(alpha, beta, theta)], d)[0]
-
-
-def _theta(p: RankTwoParams) -> float:
-    """The angle between p.u and p.v; rejects dependent u, v."""
+def _chart_of(p: RankTwoParams, d: int):
+    """The one-row chart_batch at the angle between p.u and p.v; rejects dependent u, v."""
     _check_span(p)
     # 2 asin(||u - v|| / 2) keeps the angle accurate where acos(<u, v>) loses it.
-    return 2.0 * math.asin(float(np.linalg.norm(p.u - p.v)) / 2.0)
-
-
-def _chart_of(p: RankTwoParams, d: int):
-    """_chart at the angle between p.u and p.v; rejects dependent u, v."""
-    return _chart(p.alpha, p.beta, _theta(p), d)
+    theta = 2.0 * math.asin(float(np.linalg.norm(p.u - p.v)) / 2.0)
+    return chart_batch([(p.alpha, p.beta, theta)], d)[0]
 
 
 def _grad_core(alpha, beta, u, v, chart, d: int, lift=np.asarray, with_u: bool = True):
     """Unprojected gradient (d_alpha, d_beta, g_u, g_v) of the squared ratio.
 
-    chart is _chart's output for alpha*u^d - beta*v^d and lift maps its
+    chart is chart_batch's entry for alpha*u^d - beta*v^d and lift maps its
     maximizer onto u, v's space; g_u is None unless with_u.  Requires a unique global maximizer w (the
     spectral norm is then smooth, with the normalized best rank-one tensor as
     derivative); raises NondifferentiablePointError otherwise.
@@ -326,15 +312,10 @@ def _grad_core(alpha, beta, u, v, chart, d: int, lift=np.asarray, with_u: bool =
     return d_alpha, d_beta, g_u, g_v
 
 
-def ratio_squared_batch(ps, d: int) -> list[float]:
-    """ratio_squared of each parameter set in ps, all of order d, in one solve."""
-    charts = _chart_batch([(p.alpha, p.beta, _theta(p)) for p in ps], d)
-    return [ms.value**2 / fro_sq for ms, _, fro_sq in charts]
-
-
 def ratio_squared(p: RankTwoParams, d: int) -> float:
     """Squared spectral-to-Frobenius ratio of alpha*u^d - beta*v^d."""
-    return ratio_squared_batch([p], d)[0]
+    ms, _, fro_sq = _chart_of(p, d)
+    return ms.value**2 / fro_sq
 
 
 @dataclass(frozen=True)
@@ -452,6 +433,13 @@ def _pow_diff(base: float, delta: float, d: int) -> float:
     return (base + delta) ** d * -math.expm1(d * log_ratio)
 
 
+def equal_diff_chart(d: int, t: float) -> tuple:
+    """Chart row (alpha, beta, theta) of u^d - v^d, u = (1, t), v = (1, -t)."""
+    _check_t(t)
+    scale = (1.0 + t * t) ** (d / 2.0)
+    return scale, scale, 2.0 * math.atan(t)
+
+
 def equal_diff_frob_sq(d: int, t: float) -> float:
     """Squared Frobenius norm 2(1+t^2)^d - 2(1-t^2)^d of u^d - v^d, u=(1,t), v=(1,-t)."""
     _check_t(t)
@@ -537,7 +525,7 @@ class MinRatioResult:
 
 def _chart_or_none(x, d: int):
     try:
-        return _chart(*x, d)
+        return chart_batch([x], d)[0]
     except ValueError:
         return None
 
@@ -571,7 +559,7 @@ class _Objective:
         if not idx:
             return out
         try:
-            charts = _chart_batch([xs[i] for i in idx], self.d)
+            charts = chart_batch([xs[i] for i in idx], self.d)
         except ValueError:
             charts = [_chart_or_none(xs[i], self.d) for i in idx]
         for i, chart in zip(idx, charts):
@@ -743,10 +731,7 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
     cfg = cfg or SearchConfig()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
 
-    starts = []
-    for t in np.geomspace(0.4, 0.02, 6):
-        scale = (1.0 + t * t) ** (d / 2.0)
-        starts.append((scale, scale, 2.0 * math.atan(t)))
+    starts = [equal_diff_chart(d, t) for t in np.geomspace(0.4, 0.02, 6).tolist()]
     while len(starts) < max(cfg.starts, 8):
         alpha = math.exp(rng.normal())
         beta = math.exp(rng.normal()) * rng.choice([1.0, -1.0])
@@ -822,10 +807,11 @@ def border_ratio_scan(d: int, steps: int) -> list[BorderScanRow]:
 
     a runs over [0, 1] with b = sqrt((1 - a^2)/d), so the exact ratio equals
     the spectral norm; rows carry both closed-form lower bounds alongside it.
-    The minimum sits at a = 0 where the ratio equals (1 - 1/d)^((d-1)/2).
+    The minimum sits at a = 0 where the ratio equals (1 - 1/d)^((d-1)/2);
+    a one-point grid is that row alone.
     """
-    if steps < 2:
-        raise ValueError("need at least 2 grid points")
+    if steps < 1:
+        raise ValueError("need at least 1 grid point")
     if d < 2:
         raise ValueError("need order d >= 2")
     ab = []

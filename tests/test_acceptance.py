@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import circle_grid_max, dense_pow, random_binary
 from tensorratio.config import SearchConfig
-from tensorratio.harness import rng_for, run_suite, sample_rank_two_params
+from tensorratio.harness import rng_for, run_suite, sample_rank_two_charts
 from tensorratio.ranktwo import (
     RankTwoParams,
     canonical_params,
@@ -126,11 +126,15 @@ def test_criterion_09_gradient_correctness():
     while checked < 50:
         d = int(rng.integers(3, 7))
         dim = 3 if checked % 5 == 4 else 2
-        p2 = sample_rank_two_params(rng, d, case="generic")
-        uv = float(p2.u @ p2.v)
+        [(alpha, beta, theta)] = sample_rank_two_charts(rng, 1, case="generic").tolist()
+        # a random orientation in R^2: the chart rotated by a random angle
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        p2 = RankTwoParams(alpha, beta, np.array([math.cos(phi), math.sin(phi)]),
+                           np.array([math.cos(phi + theta), math.sin(phi + theta)]))
+        uv = math.cos(theta)
         # conditioning: away from the rank-one and equal-coefficient
         # degeneracies, where central differences stop being informative
-        if not 0.05 < uv < 0.95 or p2.beta < 0.05 * p2.alpha or p2.beta > 0.95 * p2.alpha:
+        if not 0.05 < uv < 0.95 or beta < 0.05 * alpha or beta > 0.95 * alpha:
             continue
         if dim == 3:
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import tensorratio.cli as cli
 import tensorratio.harness as harness
 import tensorratio.ranktwo as ranktwo
 from tensorratio.cli import main
@@ -22,12 +23,12 @@ from tensorratio.harness import (
     report_for,
     rng_for,
     run_suite,
-    sample_rank_two_params,
+    sample_rank_two_charts,
     search_counterexample,
     search_min_ratio,
     sweep_rows,
 )
-from tensorratio.ranktwo import CaseTag, classify_case, extremal_ratio
+from tensorratio.ranktwo import canonical_params, extremal_ratio, extremal_ratio_sq
 from tensorratio.symtensor import SymTensor, exponent_tuples, frob_norm, sym_rank_one
 from tensorratio.tensor3 import ALS_CONFIG, Tensor3, als_spectral_norm
 
@@ -87,18 +88,76 @@ def test_report_tensor3(tmp_path):
     assert rep.ratio == pytest.approx(2 / 3, abs=1e-8)
 
 
-def test_sampler_cases(rng):
-    for case, check in [
-        ("sum", lambda p: p.beta < 0),
-        ("generic", lambda p: p.alpha > p.beta > 0),
-        ("equal", lambda p: abs(p.alpha - p.beta) <= 1e-12 * p.alpha),
-    ]:
-        for _ in range(20):
-            p = sample_rank_two_params(rng, 4, case=case)
-            assert check(p)
-            assert float(p.u @ p.v) >= 0
-    tags = {classify_case(sample_rank_two_params(rng, 3)) for _ in range(60)}
-    assert CaseTag.SUM in tags and CaseTag.GENERIC in tags
+def test_sampler_cases():
+    for case in (None, "sum", "generic"):
+        for d in (3, 4, 7):
+            rows = sample_rank_two_charts(rng_for(3, d), 200, case)
+            assert rows.shape == (200, 3)
+            alpha, beta, theta = rows.T
+            assert np.all((1e-5 <= theta) & (theta <= math.pi / 2))
+            assert np.all(alpha > 0.0) and np.all(beta != 0.0)
+            positive = beta > 0.0
+            assert np.all(alpha[positive] >= beta[positive])
+            if case is None:
+                assert positive.any() and not positive.all()
+            elif case == "sum":
+                assert not positive.any()
+            else:
+                assert positive.all() and np.all(alpha > beta * (1.0 + 1e-6))
+            # Every row is canonical.  (cos theta, sin theta) has unit norm to
+            # roundoff only, so canonical_params may move beta by an ulp per order.
+            for a, b, t in rows[:50].tolist():
+                p = canonical_params(a, b, [1.0, 0.0], [math.cos(t), math.sin(t)], d)
+                assert p.alpha == a and p.beta == pytest.approx(b, rel=1e-14)
+                assert np.array_equal(p.u, [1.0, 0.0])
+                assert float(p.u @ p.v) == pytest.approx(math.cos(t), rel=1e-14)
+    with pytest.raises(ValueError):
+        sample_rank_two_charts(rng_for(3), 5, "equal")
+
+
+def test_sampler_draw_order():
+    # The documented order, replayed: the angles, the (m, 2) exponents, and
+    # under case None the sign uniforms.
+    for case in (None, "sum"):
+        rng = rng_for(5, 9)
+        theta = rng.uniform(1e-5, 0.5 * math.pi, 30)
+        alpha, beta = np.exp(rng.standard_normal((30, 2))).T
+        if case is None:
+            beta = np.where(rng.random(30) < 0.5, beta, -beta)
+        else:
+            beta = -beta
+        swap = beta > alpha
+        expected = np.column_stack([np.where(swap, beta, alpha), np.where(swap, alpha, beta), theta])
+        assert np.array_equal(sample_rank_two_charts(rng_for(5, 9), 30, case), expected)
+
+
+class _TiedFirstDraw:
+    """A generator whose first normal draw ties the magnitudes of every even row."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.first = None
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        if self.first is None:
+            out[::2] = 0.3
+            self.first = out.copy()
+        return out
+
+
+def test_sampler_redraws_tied_generic_rows():
+    stub = _TiedFirstDraw(rng_for(0, 4))
+    rows = sample_rank_two_charts(stub, 11, "generic")
+    assert rows.shape == (11, 3)
+    alpha, beta, _ = rows.T
+    assert np.all(alpha > beta * (1.0 + 1e-6)) and np.all(beta > 0.0)
+    # The untied rows keep their first draw.
+    first = np.sort(np.exp(stub.first)[1::2], axis=1)[:, ::-1]
+    assert np.array_equal(rows[1::2, :2], first)
 
 
 def test_rng_for_is_stable():
@@ -123,6 +182,23 @@ def test_suites_pass_at_small_budget(name):
     assert res.seconds > 0
     data = res.to_json_dict()
     assert set(data) == {"suite", "cases", "failures", "passed", "seed"}
+
+
+def test_suite_case_counts_are_exact():
+    # The benchmark requires these counts exactly.
+    counts = {
+        "thm1-bound": lambda b: 4 * b,
+        "prop-sum": lambda b: 6 * b,
+        "prop-unique": lambda b: 5 * b,
+        "prop-equal": lambda b: 6 * (b + 2),
+        "lemma-roots": lambda b: 6 * b,
+        "border-scan": lambda b: 6 * (b + 1),
+    }
+    for seed in (0, 13):
+        for name, count in counts.items():
+            for budget in (1, 3, 50):
+                res = run_suite(name, seed, budget)
+                assert (res.cases, res.passed) == (count(budget), True), (name, seed, budget)
 
 
 def test_suite_result_invariant():
@@ -157,6 +233,14 @@ def test_search_min_ratio_report():
     assert "not attained" in rep["note"]
 
 
+def test_search_min_ratio_reports_the_squared_bound():
+    # extremal_ratio(d) ** 2 differs from it by an ulp or two at every d from 5 to 12.
+    for d in range(3, 13):
+        rep, _ = search_min_ratio(d, SearchConfig(budget=1, seed=0))
+        assert rep["bound_ratio_sq"] == extremal_ratio_sq(d)
+        assert rep["bound_ratio"] == extremal_ratio(d)
+
+
 def test_search_min_ratio_budget_ends_in_first_descent(monkeypatch):
     # The budget runs out before the first descent returns: the best start
     # evaluated so far is reported.
@@ -170,7 +254,7 @@ def test_search_min_ratio_budget_ends_in_first_descent(monkeypatch):
     def no_chart(*args):
         raise ValueError("no chart")
 
-    monkeypatch.setattr(ranktwo, "_chart_batch", no_chart)
+    monkeypatch.setattr(ranktwo, "chart_batch", no_chart)
     with pytest.raises(UsageError):
         search_min_ratio(3, SearchConfig(budget=20, seed=0))
 
@@ -366,6 +450,20 @@ def test_cli_exit_codes(capsys, monkeypatch, tmp_path):
     )
     assert main(["verify", "lemma-roots"]) == 1
     capsys.readouterr()
+
+
+def test_cli_unreadable_inputs_exit_2(tmp_path, monkeypatch):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"order": 3, "note": "\xe9"}')
+    monkeypatch.setattr(cli, "search_min_ratio", lambda *args: pytest.fail("the search ran"))
+    for argv in (["report", str(tmp_path)], ["report", str(latin1)],
+                 ["search", "min-ratio-sym", "--trace", str(tmp_path / "missing" / "t.jsonl")],
+                 ["search", "min-ratio-sym", "--trace", str(tmp_path)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue()) == (2, ""), argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_cli_verify_json_and_csv(capsys):

@@ -18,6 +18,7 @@ from tensorratio.ranktwo import (
     canonical_params,
     classify_case,
     critical_equation_roots,
+    equal_diff_chart,
     equal_diff_frob_sq,
     equal_diff_ratio_lb,
     equal_diff_spectral_lb,
@@ -215,6 +216,8 @@ def test_chart_path_matches_assembled_tensor(rng, n):
             lifted = [frame.lift(w) for w in ref.points]
         value = ratio_squared(p, d)
         assert value == pytest.approx(ref.value**2 / frob_norm(A) ** 2, rel=1e-12)
+        # prop-unique counts the maximizers of the chart form.
+        assert len(ranktwo._chart_of(p, d)[0].points) == len(ref.points)
         if p.alpha > p.beta > 0:
             ref_side = all(abs(w @ p.u) >= abs(w @ p.v) - 1e-10 for w in lifted)
             assert maximizer_side_check(p, d) == ref_side
@@ -352,6 +355,17 @@ def test_equal_family_functions():
         assert all(b > a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         equal_diff_spectral_lb(4, 1.5)
+    # The chart of u^d - v^d, u = (1, t), v = (1, -t), against the tensor itself.
+    for d in (3, 4, 8):
+        for t in (1e-4, 0.02, 0.3, 1.0):
+            alpha, beta, theta = equal_diff_chart(d, t)
+            p = canonical_params(1.0, 1.0, [1.0, t], [1.0, -t], d)
+            assert alpha == beta == pytest.approx(p.alpha, rel=1e-14)
+            assert theta == pytest.approx(math.acos(float(p.u @ p.v)), rel=1e-12)
+            [(ms, _, fro_sq)] = ranktwo.chart_batch([(alpha, beta, theta)], d)
+            assert ms.value**2 / fro_sq == pytest.approx(ratio_squared(p, d), rel=1e-13)
+    with pytest.raises(ValueError):
+        equal_diff_chart(4, 1.5)
 
 
 def test_classify_case():
@@ -405,7 +419,7 @@ class _ObjectiveReference:
         if not (alpha > 0.0) or beta == 0.0 or not ranktwo._THETA_MIN <= theta <= math.pi / 2:
             return math.inf
         try:
-            ms, _, fro_sq = ranktwo._chart(alpha, beta, theta, self.d)
+            [(ms, _, fro_sq)] = ranktwo.chart_batch([(alpha, beta, theta)], self.d)
         except ValueError:
             return math.inf
         if fro_sq <= 0.0:
@@ -417,7 +431,7 @@ class _ObjectiveReference:
         c, s = math.cos(theta), math.sin(theta)
         d_alpha, d_beta, _, g_v = ranktwo._grad_core(
             alpha, beta, np.array([1.0, 0.0]), np.array([c, s]),
-            ranktwo._chart(alpha, beta, theta, self.d), self.d, with_u=False,
+            ranktwo.chart_batch([(alpha, beta, theta)], self.d)[0], self.d, with_u=False,
         )
         return np.array([d_alpha, d_beta, float(g_v @ np.array([-s, c]))])
 
@@ -574,13 +588,13 @@ def test_min_ratio_search_stacks_the_balanced_starts(monkeypatch):
     # The six balanced starts share one stacked solve per round: about 70
     # solves at budget 2000, where one start at a time takes about 350.
     calls = []
-    chart_batch = ranktwo._chart_batch
+    chart_batch = ranktwo.chart_batch
 
     def counting(rows, d):
         calls.append(len(rows))
         return chart_batch(rows, d)
 
-    monkeypatch.setattr(ranktwo, "_chart_batch", counting)
+    monkeypatch.setattr(ranktwo, "chart_batch", counting)
     min_ratio_search(4, SearchConfig(starts=16, budget=2000, seed=0))
     assert len(calls) <= 80
 
@@ -627,12 +641,12 @@ def test_chart_batch_matches_chart():
     rows = [(1.3, 0.7, 0.4), (-0.5, 0.9, 1.1), (2.0, 0.0, 0.3), (1.0, 1.0, 1e-6),
             (0.8, -1.4, 2.5), (1.0, 1.0, math.pi / 2), (3.0, 2.0, -0.2)]
     for d in (3, 4, 7):
-        for (ms, one_minus_cd, fro_sq), row in zip(ranktwo._chart_batch(rows, d), rows):
-            ms1, one_minus_cd1, fro_sq1 = ranktwo._chart(*row, d)
+        for (ms, one_minus_cd, fro_sq), row in zip(ranktwo.chart_batch(rows, d), rows):
+            [(ms1, one_minus_cd1, fro_sq1)] = ranktwo.chart_batch([row], d)
             assert (ms.value, one_minus_cd, fro_sq) == (ms1.value, one_minus_cd1, fro_sq1)
             assert len(ms.points) == len(ms1.points)
             assert all(np.array_equal(w, w1) for w, w1 in zip(ms.points, ms1.points))
-    assert ranktwo._chart_batch([], 4) == []
+    assert ranktwo.chart_batch([], 4) == []
 
 
 def test_objective_stack_isolates_failed_rows():
@@ -698,5 +712,8 @@ def test_border_ratio_scan():
             assert row.lb_axis <= row.ratio + 1e-12
             if row.a > 0:
                 assert row.ratio > bound
+    # A one-point grid is the a = 0 row alone (border-scan at budget 1).
+    [row] = border_ratio_scan(4, 1)
+    assert row.a == 0.0 and row == border_ratio_scan(4, 41)[0]
     with pytest.raises(ValueError):
-        border_ratio_scan(3, 1)
+        border_ratio_scan(3, 0)

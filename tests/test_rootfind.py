@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import circle_grid_max
 from tensorratio.ranktwo import (
-    _cos_gap_pow,
-    _family_coeffs,
+    _chart_row,
     canonical_params,
     critical_equation_roots,
     extremal_spectral_norm,
@@ -73,16 +72,13 @@ def test_far_roots_without_overflow():
         # A dense order-300 chart form: Newton must still polish the real
         # critical point near x = 12, where x^300 is far past the float range.
         theta = math.acos(0.95)
-        c = _family_coeffs(1.3, 0.7, theta, 300, _cos_gap_pow(theta, 300))
+        c = _chart_row(1.3, 0.7, theta, 300)[0]
         roots = real_roots(_tangential_coeffs(c)[::-1])
         assert len(roots) == 157
         far = [x for x in roots if abs(x) > 10.0]
         assert far == pytest.approx([-27226169.39000648, 11.99115078191346], rel=1e-14)
         for d in range(5, 13):
-            theta = math.pi / 2
-            ms = spectral_norm_binary_coeffs(
-                _family_coeffs(1.0, 1.0, theta, d, _cos_gap_pow(theta, d))
-            )
+            ms = spectral_norm_binary_coeffs(_chart_row(1.0, 1.0, math.pi / 2, d)[0])
             assert ms.value == pytest.approx(1.0, rel=1e-14)
             assert len(ms.points) == 2
             assert np.allclose(ms.points, [[0.0, 1.0], [1.0, 0.0]], rtol=0, atol=1e-14)
