@@ -285,6 +285,9 @@ class SuiteResult:
     failures: list = field(default_factory=list)
     seconds: float = 0.0
     seed: int = 0
+    # Per order, the smallest margin to the bound with its witness, for the
+    # suites that measure one.
+    margins: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -293,13 +296,16 @@ class SuiteResult:
     def to_json_dict(self) -> dict:
         # Wall time goes to stderr logging, not here: identical seeds must
         # produce byte-identical machine output.
-        return {
+        out = {
             "suite": self.suite,
             "cases": self.cases,
             "failures": self.failures,
             "passed": self.passed,
             "seed": self.seed,
         }
+        if self.margins:
+            out["margins"] = self.margins
+        return out
 
 
 def _record(failures: list, **info):
@@ -307,51 +313,93 @@ def _record(failures: list, **info):
         failures.append(info)
 
 
-def _ratios_sq(rows, d: int) -> list[float]:
-    """Squared spectral-to-Frobenius ratio of each chart row, in one solve."""
-    return [ms.value**2 / fro_sq for ms, _, fro_sq in chart_batch(rows, d)]
+def _ratios_sq(rows, d) -> np.ndarray:
+    """Squared spectral-to-Frobenius ratio of each chart row, in one solve;
+    d is one order or an array of per-row orders."""
+    maxima, _, fro_sq = chart_batch(rows, d)
+    return maxima.values**2 / fro_sq
+
+
+def _order_stack(per_d: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of every order in one stack, order after order, with the
+    order of each row."""
+    rows = np.concatenate([np.asarray(r, dtype=float).reshape(len(r), -1) for r in per_d.values()])
+    return rows, np.repeat(list(per_d), [len(r) for r in per_d.values()])
+
+
+def _per_order(ds: np.ndarray, f) -> np.ndarray:
+    """f(d) for the order d of each row, one call per distinct order."""
+    table = np.zeros(ds.max(initial=0) + 1)
+    orders = np.flatnonzero(np.bincount(ds))
+    table[orders] = [f(d) for d in orders.tolist()]
+    return table[ds]
+
+
+def _margins(ds: np.ndarray, margin: np.ndarray, witness) -> list:
+    """Per order, the smallest margin to the bound with its witness row:
+    witness(i) gives the record of stack row i."""
+    out = []
+    for d in np.flatnonzero(np.bincount(ds)).tolist():
+        idx = np.nonzero(ds == d)[0]
+        i = int(idx[np.argmin(margin[idx])])
+        out.append({"d": d, "margin": float(margin[i]), **witness(i)})
+    return out
 
 
 def _suite_thm1_bound(seed: int, budget: int | None) -> SuiteResult:
     per_d = budget or 10_000
     failures: list = []
-    cases = 0
-    for d in (3, 4, 5, 6):
-        bound = extremal_ratio_sq(d)
-        rows = sample_rank_two_charts(rng_for(seed, 1, d), per_d).tolist()
-        for (alpha, beta, theta), value in zip(rows, _ratios_sq(rows, d)):
-            cases += 1
-            if not value > bound - 1e-9:
-                _record(failures, d=d, F=value, bound=bound,
-                        alpha=alpha, beta=beta, uv=math.cos(theta))
-    return SuiteResult("thm1-bound", cases, failures, seed=seed)
+    rows, ds = _order_stack({d: sample_rank_two_charts(rng_for(seed, 1, d), per_d)
+                             for d in (3, 4, 5, 6)})
+    bound = _per_order(ds, extremal_ratio_sq)
+    values = _ratios_sq(rows, ds)
+
+    def witness(i):
+        alpha, beta, theta = rows[i].tolist()
+        return dict(F=float(values[i]), bound=float(bound[i]), alpha=alpha, beta=beta,
+                    uv=math.cos(theta))
+
+    for i in np.nonzero(~(values > bound - 1e-9))[0].tolist():
+        _record(failures, d=int(ds[i]), **witness(i))
+    return SuiteResult("thm1-bound", len(rows), failures, seed=seed,
+                       margins=_margins(ds, values - bound, witness))
 
 
 def _suite_prop_sum(seed: int, budget: int | None) -> SuiteResult:
     per_d = budget or 1_000
     failures: list = []
-    cases = 0
-    for d in range(3, 9):
-        rows = sample_rank_two_charts(rng_for(seed, 2, d), per_d, case="sum").tolist()
-        for (alpha, beta, _), value in zip(rows, _ratios_sq(rows, d)):
-            cases += 1
-            if not value >= 0.5 - 1e-12:
-                _record(failures, d=d, F=value, alpha=alpha, beta=beta)
-    return SuiteResult("prop-sum", cases, failures, seed=seed)
+    rows, ds = _order_stack({d: sample_rank_two_charts(rng_for(seed, 2, d), per_d, case="sum")
+                             for d in range(3, 9)})
+    values = _ratios_sq(rows, ds)
+
+    def witness(i):
+        alpha, beta, _ = rows[i].tolist()
+        return dict(F=float(values[i]), alpha=alpha, beta=beta)
+
+    for i in np.nonzero(~(values >= 0.5 - 1e-12))[0].tolist():
+        _record(failures, d=int(ds[i]), **witness(i))
+    return SuiteResult("prop-sum", len(rows), failures, seed=seed,
+                       margins=_margins(ds, values - 0.5, witness))
 
 
 def _suite_prop_equal(seed: int, budget: int | None) -> SuiteResult:
     steps = budget or 1_000
     failures: list = []
-    cases = 0
-    for d in range(3, 9):
-        bound = extremal_ratio_sq(d)
-        ts = np.geomspace(1e-4, 1.0, steps)
-        rows = [equal_diff_chart(d, t) for t in ts.tolist()]
-        for t, value in zip(ts, _ratios_sq(rows, d)):
-            cases += 1
-            if not value > bound:
-                _record(failures, d=d, t=float(t), F=value, bound=bound)
+    ts = np.geomspace(1e-4, 1.0, steps)
+    orders = range(3, 9)
+    rows, ds = _order_stack({d: [equal_diff_chart(d, t) for t in ts.tolist()] for d in orders})
+    bound = _per_order(ds, extremal_ratio_sq)
+    values = _ratios_sq(rows, ds)
+    t_of = np.tile(ts, len(orders))
+
+    def witness(i):
+        return dict(t=float(t_of[i]), F=float(values[i]), bound=float(bound[i]))
+
+    bad = ~(values > bound)
+    cases = len(rows)
+    for d in orders:
+        for i in np.nonzero(bad & (ds == d))[0].tolist():
+            _record(failures, d=d, **witness(i))
         # The family lower bound must increase strictly up to 1/sqrt(d-1) and
         # meet the limit value at the small end of the grid.
         interior = ts[ts < 1.0 / math.sqrt(d - 1.0)]
@@ -360,45 +408,45 @@ def _suite_prop_equal(seed: int, budget: int | None) -> SuiteResult:
         if not all(b2 > b1 for b1, b2 in zip(lbs, lbs[1:])):
             _record(failures, d=d, check="monotonicity of the family lower bound")
         cases += 1
-        if abs(equal_diff_ratio_lb(d, 1e-4) - bound) > 1e-6:
+        if abs(equal_diff_ratio_lb(d, 1e-4) - extremal_ratio_sq(d)) > 1e-6:
             _record(failures, d=d, check="small-angle limit of the family lower bound")
-    return SuiteResult("prop-equal", cases, failures, seed=seed)
+    return SuiteResult("prop-equal", cases, failures, seed=seed,
+                       margins=_margins(ds, values - bound, witness))
 
 
 def _suite_lemma_roots(seed: int, budget: int | None) -> SuiteResult:
     per_d = budget or 1_000
     failures: list = []
-    cases = 0
+    abg = {}
     for d in range(3, 9):
         rng = rng_for(seed, 3, d)
-        expected = 2 + d % 2
-        abg = []
+        abg[d] = []
         for i in range(per_d):
             a = math.exp(rng.normal())
             gamma = math.exp(rng.normal())
             b = 0.0 if i % 10 == 0 else abs(rng.normal())
-            abg.append((a, b, gamma))
-        for (a, b, gamma), roots in zip(abg, critical_equation_roots_batch(abg, d)):
-            cases += 1
-            if len(roots) != expected:
-                _record(failures, d=d, a=a, b=b, gamma=gamma,
-                        count=len(roots), expected=expected)
-    return SuiteResult("lemma-roots", cases, failures, seed=seed)
+            abg[d].append((a, b, gamma))
+    rows, ds = _order_stack(abg)
+    _, counts = critical_equation_roots_batch(rows, ds)
+    expected = 2 + ds % 2
+    for i in np.nonzero(counts != expected)[0].tolist():
+        a, b, gamma = rows[i].tolist()
+        _record(failures, d=int(ds[i]), a=a, b=b, gamma=gamma,
+                count=int(counts[i]), expected=int(expected[i]))
+    return SuiteResult("lemma-roots", len(rows), failures, seed=seed)
 
 
 def _suite_prop_unique(seed: int, budget: int | None) -> SuiteResult:
     per_d = budget or 1_000
     failures: list = []
-    cases = 0
-    for d in range(3, 8):
-        rows = sample_rank_two_charts(rng_for(seed, 4, d), per_d, case="generic").tolist()
-        for (alpha, beta, theta), (ms, _, _) in zip(rows, chart_batch(rows, d)):
-            count = len(ms.points)
-            cases += 1
-            if count != 1:
-                _record(failures, d=d, count=count, alpha=alpha, beta=beta,
-                        uv=math.cos(theta))
-    return SuiteResult("prop-unique", cases, failures, seed=seed)
+    rows, ds = _order_stack({d: sample_rank_two_charts(rng_for(seed, 4, d), per_d, case="generic")
+                             for d in range(3, 8)})
+    counts = chart_batch(rows, ds)[0].counts
+    for i in np.nonzero(counts != 1)[0].tolist():
+        alpha, beta, theta = rows[i].tolist()
+        _record(failures, d=int(ds[i]), count=int(counts[i]), alpha=alpha, beta=beta,
+                uv=math.cos(theta))
+    return SuiteResult("prop-unique", len(rows), failures, seed=seed)
 
 
 def _suite_border_scan(seed: int, budget: int | None) -> SuiteResult:
@@ -504,7 +552,7 @@ def _sweep_diff_t(d: int, steps: int, tmin: float):
     ts = np.geomspace(tmin, 1.0, steps).tolist()
     rows = [
         [t, value, equal_diff_ratio_lb(d, t), bound]
-        for t, value in zip(ts, _ratios_sq([equal_diff_chart(d, t) for t in ts], d))
+        for t, value in zip(ts, _ratios_sq([equal_diff_chart(d, t) for t in ts], d).tolist())
     ]
     return ["t", "ratio_sq", "family_lb", "bound"], rows
 

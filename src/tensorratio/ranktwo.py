@@ -222,16 +222,17 @@ def extremal_spectral_norm(d: int) -> float:
     return extremal_frob_norm(d) * extremal_ratio(d)
 
 
-def _one_minus_pow_from_gap(x: float, d: int) -> float:
+def _one_minus_pow_from_gap(x, d):
     """1 - (1 - x)^d without cancellation, for the gap x = 1 - c in [0, 1]."""
-    if 0.0 < x < 1.0:
-        return -math.expm1(d * math.log1p(-x))
-    return 1.0 - (1.0 - x) ** d
+    x = np.asarray(x, dtype=float)
+    inner = (0.0 < x) & (x < 1.0)
+    with np.errstate(divide="ignore"):
+        return np.where(inner, -np.expm1(d * np.log1p(-np.where(inner, x, 0.0))), 1.0 - (1.0 - x) ** d)
 
 
-def _cos_gap_pow(theta: float, d: int) -> float:
+def _cos_gap_pow(theta, d):
     """1 - cos(theta)^d, stable down to tiny angles via the half-angle gap."""
-    return _one_minus_pow_from_gap(2.0 * math.sin(theta / 2.0) ** 2, d)
+    return _one_minus_pow_from_gap(2.0 * np.sin(np.asarray(theta) / 2.0) ** 2, d)
 
 
 def _pair_frob_sq(alpha: float, beta: float, one_minus_cd: float) -> float:
@@ -239,48 +240,67 @@ def _pair_frob_sq(alpha: float, beta: float, one_minus_cd: float) -> float:
     return (alpha - beta) ** 2 + 2.0 * alpha * beta * one_minus_cd
 
 
-def _chart_row(alpha: float, beta: float, theta: float, d: int):
-    """Coefficients, 1 - cos^d and squared Frobenius norm of alpha*e1^d - beta*v^d.
+def _binomials(n: np.ndarray, width: int) -> np.ndarray:
+    """Row i holds comb(n_i, k) for k = 0..width-1, zero past n_i."""
+    out = np.zeros((len(n), width))
+    for order in np.flatnonzero(np.bincount(n)).tolist():
+        out[n == order, :order + 1] = [math.comb(order, k) for k in range(order + 1)]
+    return out
 
-    v = (cos theta, sin theta).  Every rank-two ratio goes through this chart;
-    plane_frame(u, v) maps its axes onto u and Gram-Schmidt(v) in any dimension.
-    The leading coefficient of the dehomogenized form is assembled as
-    (alpha - beta) + beta*(1 - cos^d) to avoid cancellation along the
-    small-angle drift.
-    """
+
+def _chart_coeffs(rows, d):
+    """Binary coefficients c_0..c_d of each chart row, zero past its order,
+    with the per-row orders and 1 - cos^d; see chart_batch."""
+    alpha, beta, theta = np.asarray(rows, dtype=float).reshape(-1, 3).T
+    d = np.broadcast_to(d, alpha.shape).astype(np.intp)
     one_minus_cd = _cos_gap_pow(theta, d)
-    c, s = math.cos(theta), math.sin(theta)
-    coeffs = np.empty(d + 1)
-    for k in range(d):
-        coeffs[k] = -math.comb(d, k) * beta * c**k * s ** (d - k)
-    coeffs[d] = (alpha - beta) + beta * one_minus_cd
-    return coeffs, one_minus_cd, _pair_frob_sq(alpha, beta, one_minus_cd)
+    k = np.arange(d.max(initial=0) + 1)
+    dk = d[:, None] - k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeffs = (-_binomials(d, len(k)) * beta[:, None] * np.cos(theta)[:, None] ** k
+                  * np.sin(theta)[:, None] ** dk)
+    coeffs = np.where(dk > 0, coeffs, 0.0)
+    coeffs[np.arange(len(d)), d] = (alpha - beta) + beta * one_minus_cd
+    return coeffs, d, one_minus_cd
 
 
-def chart_batch(rows, d: int) -> list:
+def chart_batch(rows, d):
     """Solve each chart row (alpha, beta, theta) of alpha*e1^d - beta*v^d in one stack.
 
-    v = (cos theta, sin theta).  Each entry is (maximizer set, 1 - cos^d,
-    squared Frobenius norm); the squared ratio is value^2 / Frobenius^2.
+    v = (cos theta, sin theta), and d is one order for every row or an array
+    of per-row orders.  Every rank-two ratio goes through this chart;
+    plane_frame(u, v) maps its axes onto u and Gram-Schmidt(v) in any
+    dimension.  Returns (maxima, 1 - cos^d, squared Frobenius norm): the
+    spectral_norm_binary_batch result of the stack and two arrays, so the
+    squared ratio is maxima.values^2 / Frobenius^2.  The leading coefficient
+    of the dehomogenized form is assembled as (alpha - beta) +
+    beta*(1 - cos^d) to avoid cancellation along the small-angle drift.
     """
-    charts = [_chart_row(alpha, beta, theta, d) for alpha, beta, theta in rows]
-    sets = spectral_norm_binary_batch(np.array([c for c, _, _ in charts]).reshape(-1, d + 1))
-    return [(ms, one_minus_cd, fro_sq) for ms, (_, one_minus_cd, fro_sq) in zip(sets, charts)]
+    alpha, beta, _ = np.asarray(rows, dtype=float).reshape(-1, 3).T
+    coeffs, d, one_minus_cd = _chart_coeffs(rows, d)
+    return (spectral_norm_binary_batch(coeffs, d), one_minus_cd,
+            _pair_frob_sq(alpha, beta, one_minus_cd))
+
+
+def _chart_entry(charts, i: int):
+    """Row i of a chart_batch result as (MaximizerSet, 1 - cos^d, squared Frobenius norm)."""
+    maxima, one_minus_cd, fro_sq = charts
+    return maxima.maximizer_set(i), float(one_minus_cd[i]), float(fro_sq[i])
 
 
 def _chart_of(p: RankTwoParams, d: int):
-    """The one-row chart_batch at the angle between p.u and p.v; rejects dependent u, v."""
+    """The one-row chart_batch entry at the angle between p.u and p.v; rejects dependent u, v."""
     _check_span(p)
     # 2 asin(||u - v|| / 2) keeps the angle accurate where acos(<u, v>) loses it.
     theta = 2.0 * math.asin(float(np.linalg.norm(p.u - p.v)) / 2.0)
-    return chart_batch([(p.alpha, p.beta, theta)], d)[0]
+    return _chart_entry(chart_batch([(p.alpha, p.beta, theta)], d), 0)
 
 
 def _grad_core(alpha, beta, u, v, chart, d: int, lift=np.asarray, with_u: bool = True):
     """Unprojected gradient (d_alpha, d_beta, g_u, g_v) of the squared ratio.
 
-    chart is chart_batch's entry for alpha*u^d - beta*v^d and lift maps its
-    maximizer onto u, v's space; g_u is None unless with_u.  Requires a unique global maximizer w (the
+    chart is the one-row chart entry (_chart_entry) of alpha*u^d - beta*v^d
+    and lift maps its maximizer onto u, v's space; g_u is None unless with_u.  Requires a unique global maximizer w (the
     spectral norm is then smooth, with the normalized best rank-one tensor as
     derivative); raises NondifferentiablePointError otherwise.
     """
@@ -380,19 +400,29 @@ def project_pair(u, v, w, d: int):
     return a, b, tensor
 
 
-def critical_equation_roots_batch(abg, d: int) -> list[list[float]]:
-    """critical_equation_roots of each (a, b, gamma) in abg, all of order d, in one solve."""
-    if d < 2:
+def critical_equation_roots_batch(abg, d) -> tuple[np.ndarray, np.ndarray]:
+    """critical_equation_roots of each (a, b, gamma) in abg, in one solve.
+
+    d is one order for every row or an array of per-row orders.  Returns
+    real_roots_batch's (roots, counts).
+    """
+    a, b, gamma = np.asarray(abg, dtype=float).reshape(-1, 3).T
+    d = np.broadcast_to(d, a.shape).astype(np.intp)
+    if (d < 2).any():
         raise ValueError("need order d >= 2")
-    polys = []
-    for a, b, gamma in abg:
-        if not (a > 0.0 and gamma > 0.0 and b >= 0.0):
-            raise ValueError("need a > 0, gamma > 0, b >= 0")
-        binom = np.array([math.comb(d - 1, j) * b**j for j in range(d)])
-        poly = gamma * np.convolve([1.0, -a], binom)
-        poly[-2] -= 1.0
-        polys.append(poly)
-    return real_roots_batch(np.array(polys).reshape(-1, d + 1))
+    if not ((a > 0.0) & (gamma > 0.0) & (b >= 0.0)).all():
+        raise ValueError("need a > 0, gamma > 0, b >= 0")
+    # (x + b)^(d-1), whose x^p coefficient is comb(d-1, p) b^(d-1-p), and
+    # then (x - a)(x + b)^(d-1), descending and right-aligned, so a lower
+    # order carries leading zeros.
+    p = np.arange(d.max(initial=2))[::-1]
+    j = d[:, None] - 1 - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        binom = np.where(j >= 0, _binomials(d - 1, len(p))[:, p] * b[:, None] ** j, 0.0)
+    padded = np.hstack([np.zeros((len(d), 1)), binom, np.zeros((len(d), 1))])
+    poly = gamma[:, None] * (padded[:, 1:] - a[:, None] * padded[:, :-1])
+    poly[:, -2] -= 1.0
+    return real_roots_batch(poly)
 
 
 def critical_equation_roots(a: float, b: float, gamma: float, d: int) -> list[float]:
@@ -402,7 +432,7 @@ def critical_equation_roots(a: float, b: float, gamma: float, d: int) -> list[fl
     double roots (measure zero) are merged by the root-isolation proximity
     rule and reported once.
     """
-    return critical_equation_roots_batch([(a, b, gamma)], d)[0]
+    return critical_equation_roots_batch([(a, b, gamma)], d)[0].tolist()
 
 
 def maximizer_side_check(p: RankTwoParams, d: int) -> bool:
@@ -525,7 +555,7 @@ class MinRatioResult:
 
 def _chart_or_none(x, d: int):
     try:
-        return chart_batch([x], d)[0]
+        return chart_batch([x], d)
     except ValueError:
         return None
 
@@ -547,7 +577,8 @@ class _Objective:
         self.trace = []
 
     def solve(self, xs) -> list:
-        """Uncharged (squared ratio, chart) at each point of xs, in one stacked solve.
+        """Uncharged (squared ratio, (chart_batch result, row)) at each point of
+        xs, in one stacked solve.
 
         A point off the chart gets (inf, None), and so does a point whose solve
         raises ValueError: a failed stack is solved again row by row, so that
@@ -560,11 +591,12 @@ class _Objective:
             return out
         try:
             charts = chart_batch([xs[i] for i in idx], self.d)
+            rows = [(charts, j) for j in range(len(idx))]
         except ValueError:
-            charts = [_chart_or_none(xs[i], self.d) for i in idx]
-        for i, chart in zip(idx, charts):
-            if chart is not None and chart[2] > 0.0:
-                out[i] = (chart[0].value**2 / chart[2], chart)
+            rows = [(_chart_or_none(xs[i], self.d), 0) for i in idx]
+        for i, (charts, j) in zip(idx, rows):
+            if charts is not None and charts[2][j] > 0.0:
+                out[i] = (float(charts[0].values[j] ** 2 / charts[2][j]), (charts, j))
         return out
 
     def walk(self, xs):
@@ -585,12 +617,14 @@ class _Objective:
         if cut:
             raise _BudgetExhausted
 
-    def grad(self, x, chart):
-        """Chart gradient at x, whose solve gave chart; raises NondifferentiablePointError at kinks."""
+    def grad(self, x, solved):
+        """Chart gradient at x, whose solve gave solved, a (chart_batch result,
+        row) pair; raises NondifferentiablePointError at kinks."""
         alpha, beta, theta = x
         c, s = math.cos(theta), math.sin(theta)
         d_alpha, d_beta, _, g_v = _grad_core(
-            alpha, beta, np.array([1.0, 0.0]), np.array([c, s]), chart, self.d, with_u=False,
+            alpha, beta, np.array([1.0, 0.0]), np.array([c, s]), _chart_entry(*solved), self.d,
+            with_u=False,
         )
         # Chain rule through v = (cos theta, sin theta).
         d_theta = float(g_v @ np.array([-s, c]))
@@ -823,11 +857,11 @@ def border_ratio_scan(d: int, steps: int) -> list[BorderScanRow]:
         coeffs[i, d] = a
         coeffs[i, d - 1] = d * b
     rows = []
-    for (a, b), ms in zip(ab, spectral_norm_binary_batch(coeffs)):
+    for (a, b), value in zip(ab, spectral_norm_binary_batch(coeffs).values.tolist()):
         lb_interior = (
             a * (d - 1.0) ** (d / 2.0) + b * d * (d - 1.0) ** ((d - 1) / 2.0)
         ) / d ** (d / 2.0)
         rows.append(
-            BorderScanRow(a=a, b=b, ratio=ms.value, lb_interior=lb_interior, lb_axis=a)
+            BorderScanRow(a=a, b=b, ratio=value, lb_interior=lb_interior, lb_axis=a)
         )
     return rows

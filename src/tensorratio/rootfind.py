@@ -6,9 +6,10 @@ then merged by proximity.  Seeding from real parts (instead of filtering on
 imaginary parts alone) keeps real roots of modest multiplicity, whose
 eigenvalue clusters split far into the complex plane.
 
-The solver works on a stack of coefficient rows: rows that share their zero
-structure share one stacked eigenvalue call and one masked Newton loop.  A
-single polynomial is the one-row case.
+The solver works on a stack of coefficient rows of any mix of degrees and
+zero structures: rows whose companions have one size share one stacked
+eigenvalue call, and every seed of every row runs in one masked Newton loop.
+A single polynomial is the one-row case.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ RESIDUAL_RTOL = 1e-10
 DEDUP_RTOL = 1e-8
 # A seed that stops at the Newton cap can pass the residual test short of a
 # simple root; within this distance of a converged neighbour it is that root.
-CAPPED_RTOL = 1e-6
+# On the suites' chart and lemma polynomials such stragglers lay 1e-7 to 1e-3
+# from their root, and distinct converged roots came as close as 4.6e-5; the
+# one straggler that changed a root count lay 1.1e-5 from its root.
+CAPPED_RTOL = 2e-5
+# A seed whose last Newton step at the cap is below this (relative) sits at
+# the rounding floor of its root and counts as converged.
+_STEP_FLOOR = 1e-12
 
 _NEWTON_ITERS = 60
 
@@ -40,7 +47,9 @@ def _polish(C: np.ndarray, x: np.ndarray):
     the floats, returns the new point once the step is below 1e-15 relative,
     and otherwise stops after _NEWTON_ITERS steps.  f' = 0 gives a non-finite
     step and an infinite f' a zero step, so the step tests cover both.
-    Returns the points and the indices of the pairs stopped by the cap.
+    Returns the points and the indices of the pairs stopped by the cap whose
+    last step was above _STEP_FLOOR relative; the others at the cap only
+    jitter at the rounding floor of a root.
     """
     n = C.shape[1]
     # One Horner pass evaluates f and f'; the f' rows carry a leading zero,
@@ -70,7 +79,7 @@ def _polish(C: np.ndarray, x: np.ndarray):
         xa = x_new[go]
         CD = CD[:, :, go]
     x[live] = xa
-    return x, live
+    return x, live[~(np.abs(step[go]) <= _STEP_FLOOR * np.maximum(1.0, np.abs(xa)))]
 
 
 def _companion_seeds(core: np.ndarray) -> np.ndarray:
@@ -119,24 +128,115 @@ def _companion_seeds(core: np.ndarray) -> np.ndarray:
     return seeds
 
 
-def _solve_group(cn: np.ndarray, lead: int, lead2: int, trail: int) -> list[list[float]]:
-    """Roots of normalized rows sharing one zero structure.
+def _shift_right(A: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row i of A moved s_i places to the right, with zeros shifted in.
 
-    lead counts the exact leading zeros of the input rows, lead2 >= lead the
-    leading zeros after normalization, trail the trailing zeros after it.
+    Horner's rule over leading zeros gives the same bits as over the row
+    alone at any finite x.
     """
-    m, n = cn.shape
-    c = cn[:, lead:]
-    if c.shape[1] == 1:
-        return [[] for _ in range(m)]
-    # Factor out x^trail so the companion matrix never sees the cluster at 0.
-    core = cn[:, lead2:n - trail]
-    cand = np.zeros((m, core.shape[1] - 1 + (trail > 0)))
+    cols = np.arange(A.shape[1]) - s[:, None]
+    return np.where(cols >= 0, A[np.arange(len(A))[:, None], cols], 0.0)
+
+
+def _merge(x: np.ndarray, capped: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Mask of the roots kept from the accepted candidates x, which come
+    ascending within each row, row after row.
+
+    A candidate within DEDUP_RTOL of the last kept root is that root; a
+    capped candidate within CAPPED_RTOL of a converged one folds into it,
+    and the converged value is kept (a fold rewrites x in place).  A
+    candidate farther than CAPPED_RTOL from the one before it is kept
+    whatever came before, since the last kept root lies at or below that
+    one, and starts a run; the rule runs position by position within the
+    runs, for all runs at once.
+    """
+    near = np.zeros(len(x), dtype=bool)
+    near[1:] = (row[1:] == row[:-1]) & (
+        np.abs(x[1:] - x[:-1]) <= CAPPED_RTOL * np.maximum(1.0, np.abs(x[1:])))
+    start = np.flatnonzero(~near)
+    run = np.cumsum(~near) - 1
+    pos = np.arange(len(x)) - start[run]
+    keep, capped = ~near, capped.copy()
+    # The last kept candidate of each run.
+    last = start
+    for k in range(1, pos.max(initial=0) + 1):
+        i = np.flatnonzero(pos == k)
+        r = run[i]
+        j = last[r]
+        gap = np.abs(x[i] - x[j])
+        scale = np.maximum(1.0, np.abs(x[i]))
+        dup = gap <= DEDUP_RTOL * scale
+        fold = ~dup & (capped[i] != capped[j]) & (gap <= CAPPED_RTOL * scale)
+        swap = fold & capped[j]
+        x[j[swap]], capped[j[swap]] = x[i[swap]], False
+        new = ~dup & ~fold
+        keep[i[new]] = True
+        last[r[new]] = i[new]
+    return keep
+
+
+def real_roots_batch(C) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct real roots of each row of C, descending coefficients, shape (M, n).
+
+    Returns (roots, counts): the roots of every row, ascending within a row
+    and row after row, and the count of each row.  Rows of different degree
+    carry leading zeros.  Raises ValueError when a row is the zero
+    polynomial.  Roots closer than DEDUP_RTOL (relative) are reported once.
+    """
+    C = np.asarray(C, dtype=float)
+    if C.ndim != 2:
+        raise ValueError("real_roots_batch needs a 2-D array of coefficient rows")
+    m, n = C.shape
+    nonzero = C != 0.0
+    if n == 0 or not nonzero.any(axis=1).all():
+        raise ValueError("zero polynomial has no isolated roots")
+    if m == 0:
+        return np.zeros(0), np.zeros(0, dtype=np.intp)
+    # Normalize first: the division can flush denormal end coefficients to
+    # zero, and the zero structure that decides the factoring is taken after.
+    cn = C / np.abs(C).max(axis=1, keepdims=True)
+    nz = cn != 0.0
+    lead = nonzero.argmax(axis=1)
+    lead2 = nz.argmax(axis=1)
+    trail = nz[:, ::-1].argmax(axis=1)
+    # Factor out x^trail so the companion matrix never sees the cluster at 0;
+    # the core of row i is cn[i, lead2_i : n - trail_i], after zeros.
+    width = n - trail - lead2
+    wc = int(width.max())
+    core = _shift_right(cn, trail)[:, n - wc:]
+    deg = width - 1
+    cand = np.full((m, int((deg + (trail > 0)).max())), np.nan)
     capped = np.zeros(cand.shape, dtype=bool)
-    if core.shape[1] > 1:
-        seeds = _companion_seeds(core)
-        rows, cols = np.nonzero(np.isfinite(seeds))
-        cand[:, :seeds.shape[1]] = np.nan
+    cand[trail > 0, deg[trail > 0]] = 0.0
+    # An end coefficient at most eps times its neighbour splits off one
+    # extreme root, near -c_1/c_0 at the front and -c_deg/c_(deg-1) at the
+    # back, and so does each next one in a run of such gaps.  The companion
+    # of the whole row can lose the moderate roots under these gaps, so
+    # those are seeded from the middle polynomial between the runs.  The
+    # zeros before a core pass the test too, and a run ends at the row's
+    # largest coefficient at the latest.
+    eps, a = np.finfo(float).eps, np.abs(core)
+    stop = np.zeros((m, 1), dtype=bool)
+    front = np.hstack([a[:, :-1] <= eps * a[:, 1:], stop]).argmin(axis=1) - (wc - width)
+    back = np.hstack([a[:, :0:-1] <= eps * a[:, -2::-1], stop]).argmin(axis=1)
+    mid = width - front - back
+    seeds = np.full((m, cand.shape[1]), np.nan)
+    with np.errstate(over="ignore", divide="ignore"):
+        for k in range(int(front.max())):
+            r = np.nonzero(front > k)[0]
+            j = wc - width[r] + k
+            seeds[r, mid[r] - 1 + k] = -core[r, j + 1] / core[r, j]
+        for k in range(int(back.max())):
+            r = np.nonzero(back > k)[0]
+            seeds[r, mid[r] - 1 + front[r] + k] = -core[r, -1 - k] / core[r, -2 - k]
+    # One stacked eigenvalue call per middle width, then one Newton loop for
+    # every seed of every row.
+    widths = np.flatnonzero(np.bincount(mid))
+    for w in widths[widths > 1].tolist():
+        idx = np.nonzero(mid == w)[0]
+        seeds[idx, :w - 1] = _companion_seeds(_shift_right(core[idx], back[idx])[:, wc - w:])
+    rows, cols = np.nonzero(np.isfinite(seeds))
+    if rows.size:
         # A far seed may overflow the polynomial; Newton then stops on the
         # non-finite value and the residual test below judges the seed.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -146,64 +246,19 @@ def _solve_group(cn: np.ndarray, lead: int, lead2: int, trail: int) -> list[list
     cand, capped = cand[order], capped[order]
 
     rows, cols = np.nonzero(np.isfinite(cand))
-    x, x_capped = cand[rows, cols], capped[rows, cols]
+    x = cand[rows, cols]
     # |p(x)| <= tol * max(1, |x|)^deg, evaluated as |x^-deg p(x)| through
     # the reversed polynomial at 1/x when |x| > 1 so nothing overflows.
     far = np.abs(x) > 1.0
     t = x.copy()
     t[far] = 1.0 / x[far]
-    P = c[rows]
-    P[far] = P[far, ::-1]
-    ok = np.abs(_horner(P, t)) <= RESIDUAL_RTOL * c.shape[1]
-
-    out: list[list[float]] = [[] for _ in range(m)]
-    last_capped = [False] * m
-    for r, xi, ci in zip(rows[ok].tolist(), x[ok].tolist(), x_capped[ok].tolist()):
-        kept = out[r]
-        if kept:
-            gap = abs(xi - kept[-1])
-            scale = max(1.0, abs(xi))
-            if gap <= DEDUP_RTOL * scale:
-                continue
-            # A capped point next to a converged one folds into it, keeping
-            # the converged value.
-            if ci != last_capped[r] and gap <= CAPPED_RTOL * scale:
-                if last_capped[r]:
-                    kept[-1], last_capped[r] = xi, False
-                continue
-        kept.append(xi)
-        last_capped[r] = ci
-    return out
-
-
-def real_roots_batch(C) -> list[list[float]]:
-    """Distinct real roots of each row of C, descending coefficients, shape (M, n).
-
-    Rows of different degree carry leading zeros.  Raises ValueError when a
-    row is the zero polynomial.  Roots closer than DEDUP_RTOL (relative) are
-    reported once.
-    """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2:
-        raise ValueError("real_roots_batch needs a 2-D array of coefficient rows")
-    m, n = C.shape
-    nonzero = C != 0.0
-    if n == 0 or not nonzero.any(axis=1).all():
-        raise ValueError("zero polynomial has no isolated roots")
-    # Normalize first: the division can flush denormal end coefficients to
-    # zero, and the zero structure that decides the factoring is taken after.
-    cn = C / np.abs(C).max(axis=1, keepdims=True)
-    nz = cn != 0.0
-    groups: dict = {}
-    keys = zip(nonzero.argmax(axis=1).tolist(), nz.argmax(axis=1).tolist(),
-               nz[:, ::-1].argmax(axis=1).tolist())
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    out: list = [None] * m
-    for key, idx in groups.items():
-        for i, roots in zip(idx, _solve_group(cn[idx], *key)):
-            out[i] = roots
-    return out
+    P = cn[rows]
+    if far.any():
+        P[far] = _shift_right(cn[rows[far], ::-1], lead[rows[far]])
+    ok = np.abs(_horner(P, t)) <= RESIDUAL_RTOL * (n - lead[rows])
+    x, rows = x[ok], rows[ok]
+    keep = _merge(x, capped[rows, cols[ok]], rows)
+    return x[keep], np.bincount(rows[keep], minlength=m)
 
 
 def real_roots(coeffs_desc) -> list[float]:
@@ -212,4 +267,4 @@ def real_roots(coeffs_desc) -> list[float]:
     The one-row case of real_roots_batch.  Raises ValueError on the zero
     polynomial.  Roots closer than DEDUP_RTOL (relative) are reported once.
     """
-    return real_roots_batch(np.asarray(coeffs_desc, dtype=float)[None])[0]
+    return real_roots_batch(np.asarray(coeffs_desc, dtype=float)[None])[0].tolist()

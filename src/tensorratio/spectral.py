@@ -14,9 +14,9 @@ global shift d(d-1) ||A||_F as the fallback for a step that does not ascend.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .rootfind import real_roots_batch
 from .symtensor import SymTensor, frob_norm, poly_eval, poly_grad, poly_hess
 
 __all__ = [
+    "BinaryMaxima",
     "DegenerateTensorError",
     "IterConfig",
     "MaximizerSet",
@@ -82,25 +83,36 @@ class RankOneApprox:
     w: np.ndarray
 
 
-def _orient(w: np.ndarray) -> np.ndarray:
-    """Flip sign so the first nonzero coordinate is positive."""
-    for x in w:
-        if abs(x) > 1e-12:
-            return w if x > 0 else -w
-    return w
+def _antipodal_classes(points: np.ndarray, rows: np.ndarray):
+    """One oriented representative per antipodal class of the points of each row.
 
-
-def _dedup_antipodal(points):
-    out = []
-    for w in points:
-        w = _orient(np.asarray(w, dtype=float))
-        if all(
-            min(np.linalg.norm(w - o), np.linalg.norm(w + o)) > ANTIPODAL_TOL
-            for o in out
-        ):
-            out.append(w)
-    out.sort(key=lambda w: tuple(w))
-    return out
+    points (K, n) come grouped by row, rows (K,) nondecreasing.  Each point
+    is flipped so that its first coordinate above 1e-12 in size is positive.
+    Within a row, points are taken in their given order, and a point whose
+    distance to a point already taken, up to sign, is not above
+    ANTIPODAL_TOL joins that point's class.  Returns the representatives and
+    their rows, sorted coordinate by coordinate within each row.
+    """
+    points = np.asarray(points, dtype=float)
+    big = np.abs(points) > 1e-12
+    lead = points[np.arange(len(points)), big.argmax(axis=1)]
+    points = np.where((big.any(axis=1) & (lead < 0.0))[:, None], -points, points)
+    # Each pass takes the first point left in every row and drops the points
+    # of that row within the tolerance of it, itself included.  A dropped
+    # point follows the taken point it is close to, and a taken point is
+    # close to no point taken before it, so this is the one-at-a-time rule
+    # in one pass per class.
+    taken = np.zeros(len(points), dtype=bool)
+    left = np.arange(len(points))
+    while left.size:
+        r = rows[left]
+        first = left[np.searchsorted(r, r)]
+        taken[first] = True
+        a, b = points[left] - points[first], points[left] + points[first]
+        left = left[np.sqrt(np.minimum(np.vecdot(a, a), np.vecdot(b, b))) > ANTIPODAL_TOL]
+    points, rows = points[taken], rows[taken]
+    order = np.lexsort(tuple(points[:, ::-1].T) + (rows,))
+    return points[order], rows[order]
 
 
 def binary_coeffs(A: SymTensor) -> np.ndarray:
@@ -111,66 +123,98 @@ def binary_coeffs(A: SymTensor) -> np.ndarray:
     return np.array([math.comb(d, k) * A.coeff((k, d - k)) for k in range(d + 1)])
 
 
-def _tangential_coeffs(C: np.ndarray) -> np.ndarray:
-    """Rows of q = x * dp/dy - y * dp/dx in the same x^m y^(d-m) basis as C."""
-    d = C.shape[-1] - 1
-    m = np.arange(d + 1)
+def _tangential_coeffs(C: np.ndarray, d=None) -> np.ndarray:
+    """Rows of q = x * dp/dy - y * dp/dx in the same x^m y^(d-m) basis as C.
+
+    d is the order of every row (by default the last column's), or an array
+    of per-row orders; a row's columns past its order are zero, and so are
+    its q columns there.
+    """
+    d = np.asarray(C.shape[-1] - 1 if d is None else d)[..., None]
+    m = np.arange(C.shape[-1])
     Q = np.zeros(C.shape)
     Q[..., 1:] += (d - m[1:] + 1) * C[..., :-1]
     Q[..., :-1] -= (m[:-1] + 1) * C[..., 1:]
     return Q
 
 
-def spectral_norm_binary_batch(C) -> list[MaximizerSet]:
+class BinaryMaxima(NamedTuple):
+    """Exact spectral norms of a stack of binary forms, as arrays.
+
+    values (M,) are the norms; points (K, 2) one unit maximizer per
+    antipodal class, grouped by row in row order; row (K,) the row of each
+    point; counts (M,) the classes of each row.
+    """
+
+    values: np.ndarray
+    points: np.ndarray
+    row: np.ndarray
+    counts: np.ndarray
+
+    def maximizer_set(self, i: int) -> MaximizerSet:
+        """Row i as a MaximizerSet."""
+        start, stop = np.searchsorted(self.row, (i, i + 1))
+        return MaximizerSet(value=float(self.values[i]), points=list(self.points[start:stop]),
+                            is_exact=True)
+
+
+def spectral_norm_binary_batch(C, d=None) -> BinaryMaxima:
     """Binary exact solver on each row of dehomogenized coefficients c_k of p(x, y).
 
-    C has shape (M, d+1); the rows share one root isolation.  Fast path for
-    callers that assemble degree-d forms directly; see spectral_norm_binary
-    for the contract.  Raises if any row is zero or rotation-invariant.
+    C has shape (M, n); row i holds c_0..c_(d_i), zero past its order d_i.
+    d is one order for every row (by default n - 1) or an array of per-row
+    orders.  All rows share one root isolation, and a row's result does not
+    depend on the rest of the stack.  See spectral_norm_binary for the
+    contract.  Raises if any row is zero or rotation-invariant.
     """
     C = np.asarray(C, dtype=float)
     m, n = C.shape
-    d = n - 1
+    d = np.full(m, n - 1 if d is None else d, dtype=np.intp)
     if not C.any(axis=1).all():
         raise ValueError("zero tensor has no spectral maximizer")
-    Q = _tangential_coeffs(C)
+    Q = _tangential_coeffs(C, d)
     qmax = np.abs(Q).max(axis=1)
     if not qmax.all():
         raise DegenerateTensorError(
             "tangential derivative vanishes identically; every direction is critical"
         )
-    roots = real_roots_batch(Q[:, ::-1])
-    counts = np.fromiter(map(len, roots), dtype=np.intp, count=m)
-    xs = np.fromiter(itertools.chain.from_iterable(roots), dtype=float, count=counts.sum())
+    xs, counts = real_roots_batch(Q[:, ::-1])
+    row_of = np.repeat(np.arange(m), counts)
     # 1 + x^2 overflows past |x| ~ 1.3e154; there sqrt(1 + x^2) is |x|.
     ax = np.abs(xs)
     hyp = np.where(ax > 1e150, ax, np.sqrt(1.0 + np.minimum(ax, 1e150) ** 2))
     X, Y = xs / hyp, 1.0 / hyp
-    row_of = np.repeat(np.arange(m), counts)
-    ks = np.arange(n)
-    vals = np.abs((C[row_of] * X[:, None] ** ks * Y[:, None] ** (d - ks)).sum(axis=1))
+    # |p| at the roots, one order at a time so that each row's sum runs
+    # over exactly its d + 1 terms.
+    vals = np.empty(len(xs))
+    for order in np.flatnonzero(np.bincount(d)).tolist():
+        at = d[row_of] == order
+        ks = np.arange(order + 1)
+        vals[at] = np.abs((C[row_of[at], :order + 1] * X[at, None] ** ks
+                           * Y[at, None] ** (order - ks)).sum(axis=1))
     root_max = np.full(m, -np.inf)
     np.maximum.at(root_max, row_of, vals)
     # The axis probe (1, 0), where p = c_d, always enters the value, but it
     # only counts as a maximizer class when the axis is itself critical
     # (q(1,0) = q_d = 0) or when it beats every root candidate; otherwise a
     # maximizer hugging the axis would be double-counted through the probe.
-    probe = np.abs(C[:, -1])
+    ar = np.arange(m)
+    probe = np.abs(C[ar, d])
     values = np.maximum(root_max, probe)
     floor = values * (1.0 - REL_MAX_TOL)
     keep = vals >= floor[row_of]
     keep_probe = (probe >= floor) & (
-        (np.abs(Q[:, -1]) <= 1e-12 * qmax) | ~(probe < root_max)
+        (np.abs(Q[ar, d]) <= 1e-12 * qmax) | ~(probe < root_max)
     )
-    points = np.column_stack([X, Y])
-    ends = np.cumsum(counts).tolist()
-    out = []
-    for i, (s, e) in enumerate(zip([0] + ends, ends)):
-        kept = list(points[s:e][keep[s:e]])
-        if keep_probe[i]:
-            kept.append(np.array([1.0, 0.0]))
-        out.append(MaximizerSet(value=float(values[i]), points=_dedup_antipodal(kept), is_exact=True))
-    return out
+    # Each row's kept roots in ascending x, which is angle order, then its
+    # probe, where x is infinite.
+    probes = int(keep_probe.sum())
+    rows = np.concatenate([row_of[keep], ar[keep_probe]])
+    X = np.concatenate([X[keep], np.ones(probes)])
+    Y = np.concatenate([Y[keep], np.zeros(probes)])
+    order = np.argsort(rows, kind="stable")
+    points, rows = _antipodal_classes(np.column_stack([X, Y])[order], rows[order])
+    return BinaryMaxima(values, points, rows, np.bincount(rows, minlength=m))
 
 
 def spectral_norm_binary_coeffs(c) -> MaximizerSet:
@@ -179,7 +223,7 @@ def spectral_norm_binary_coeffs(c) -> MaximizerSet:
     The one-row case of spectral_norm_binary_batch; see spectral_norm_binary
     for the contract.
     """
-    return spectral_norm_binary_batch(np.asarray(c, dtype=float)[None])[0]
+    return spectral_norm_binary_batch(np.asarray(c, dtype=float)[None]).maximizer_set(0)
 
 
 def spectral_norm_binary(A: SymTensor) -> MaximizerSet:
@@ -290,7 +334,8 @@ def spectral_norm_power(A: SymTensor, cfg: IterConfig | None = None) -> Maximize
     values = np.abs(poly_eval(A, W))
     value = values.max()
     near = values >= value * (1.0 - REL_MAX_TOL)
-    return MaximizerSet(math.ldexp(float(value), k), _dedup_antipodal(W[near]), is_exact=False,
+    points, _ = _antipodal_classes(W[near], np.zeros(int(near.sum()), dtype=np.intp))
+    return MaximizerSet(math.ldexp(float(value), k), list(points), is_exact=False,
                         converged=bool(converged[near].all()), iterations=iterations,
                         capped_rows=int(live.size))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from tensorratio.spectral import ANTIPODAL_TOL
 from tensorratio.symtensor import SymTensor
 
 # Solver calls take tens of milliseconds and vary with the host's load, so no
@@ -57,6 +58,23 @@ def circle_grid_max(coeffs, n_points=1_000_000) -> float:
         acc += c[k] * xk * Y ** (d - k)
         xk *= X
     return float(np.max(np.abs(acc)))
+
+
+def antipodal_classes_reference(points) -> list:
+    """One representative per antipodal class, one point at a time.
+
+    Each point is flipped so its first coordinate above 1e-12 in size is
+    positive, and kept unless it lies within ANTIPODAL_TOL, up to sign, of a
+    point kept before it; the kept points come back in tuple order.
+    """
+    out = []
+    for w in points:
+        w = np.asarray(w, dtype=float)
+        w = next((w if x > 0 else -w for x in w if abs(x) > 1e-12), w)
+        if all(min(np.linalg.norm(w - o), np.linalg.norm(w + o)) > ANTIPODAL_TOL for o in out):
+            out.append(w)
+    out.sort(key=tuple)
+    return out
 
 
 def random_binary(rng, d, normalize=True) -> SymTensor:

@@ -362,8 +362,8 @@ def test_equal_family_functions():
             p = canonical_params(1.0, 1.0, [1.0, t], [1.0, -t], d)
             assert alpha == beta == pytest.approx(p.alpha, rel=1e-14)
             assert theta == pytest.approx(math.acos(float(p.u @ p.v)), rel=1e-12)
-            [(ms, _, fro_sq)] = ranktwo.chart_batch([(alpha, beta, theta)], d)
-            assert ms.value**2 / fro_sq == pytest.approx(ratio_squared(p, d), rel=1e-13)
+            maxima, _, fro_sq = ranktwo.chart_batch([(alpha, beta, theta)], d)
+            assert maxima.values[0] ** 2 / fro_sq[0] == pytest.approx(ratio_squared(p, d), rel=1e-13)
     with pytest.raises(ValueError):
         equal_diff_chart(4, 1.5)
 
@@ -419,19 +419,20 @@ class _ObjectiveReference:
         if not (alpha > 0.0) or beta == 0.0 or not ranktwo._THETA_MIN <= theta <= math.pi / 2:
             return math.inf
         try:
-            [(ms, _, fro_sq)] = ranktwo.chart_batch([(alpha, beta, theta)], self.d)
+            maxima, _, [fro_sq] = ranktwo.chart_batch([(alpha, beta, theta)], self.d)
         except ValueError:
             return math.inf
         if fro_sq <= 0.0:
             return math.inf
-        return ms.value**2 / fro_sq
+        return float(maxima.values[0] ** 2 / fro_sq)
 
     def grad(self, x):
         alpha, beta, theta = x
         c, s = math.cos(theta), math.sin(theta)
         d_alpha, d_beta, _, g_v = ranktwo._grad_core(
             alpha, beta, np.array([1.0, 0.0]), np.array([c, s]),
-            ranktwo.chart_batch([(alpha, beta, theta)], self.d)[0], self.d, with_u=False,
+            ranktwo._chart_entry(ranktwo.chart_batch([(alpha, beta, theta)], self.d), 0), self.d,
+            with_u=False,
         )
         return np.array([d_alpha, d_beta, float(g_v @ np.array([-s, c]))])
 
@@ -635,18 +636,57 @@ def test_cli_search_matches_sequential_reference(monkeypatch, tmp_path, capsys):
     assert out[0][1].count("\n") > 10
 
 
+def _same_chart_rows(stacked, singles):
+    """Each row of a stacked chart_batch result equals its own one-row result, bit for bit."""
+    maxima, one_minus_cd, fro_sq = stacked
+    assert len(maxima.values) == len(singles)
+    for i, single in enumerate(singles):
+        ms, ms1 = ranktwo._chart_entry(stacked, i), ranktwo._chart_entry(single, 0)
+        assert (ms[0].value, ms[1], ms[2]) == (ms1[0].value, ms1[1], ms1[2])
+        assert len(ms[0].points) == len(ms1[0].points) == maxima.counts[i]
+        assert all(np.array_equal(w, w1) for w, w1 in zip(ms[0].points, ms1[0].points))
+
+
 def test_chart_batch_matches_chart():
     # Rows the search objective would reject (alpha <= 0, beta = 0, theta off
-    # its range) are still charts; each row of the stack equals its own solve.
+    # its range) are still charts; each row of the stack equals its own solve,
+    # at theta = 1e-5 and pi/2, beta < 0 and alpha = beta among them.
     rows = [(1.3, 0.7, 0.4), (-0.5, 0.9, 1.1), (2.0, 0.0, 0.3), (1.0, 1.0, 1e-6),
-            (0.8, -1.4, 2.5), (1.0, 1.0, math.pi / 2), (3.0, 2.0, -0.2)]
-    for d in (3, 4, 7):
-        for (ms, one_minus_cd, fro_sq), row in zip(ranktwo.chart_batch(rows, d), rows):
-            [(ms1, one_minus_cd1, fro_sq1)] = ranktwo.chart_batch([row], d)
-            assert (ms.value, one_minus_cd, fro_sq) == (ms1.value, one_minus_cd1, fro_sq1)
-            assert len(ms.points) == len(ms1.points)
-            assert all(np.array_equal(w, w1) for w, w1 in zip(ms.points, ms1.points))
-    assert ranktwo.chart_batch([], 4) == []
+            (0.8, -1.4, 2.5), (1.0, 1.0, math.pi / 2), (3.0, 2.0, -0.2), (1.7, 1.7, 1e-5),
+            (2.0, -0.5, 1e-5), (0.9, -2.2, math.pi / 2), (1.4, 1.4, 0.7)]
+    rng = np.random.default_rng(5)
+    rows += [(math.exp(rng.normal()), math.exp(rng.normal()) * rng.choice([-1.0, 1.0]),
+              rng.uniform(1e-5, math.pi / 2)) for _ in range(20)]
+    for d in range(2, 13):
+        _same_chart_rows(ranktwo.chart_batch(rows, d), [ranktwo.chart_batch([r], d) for r in rows])
+    maxima, one_minus_cd, fro_sq = ranktwo.chart_batch([], 4)
+    assert maxima.values.shape == maxima.counts.shape == one_minus_cd.shape == fro_sq.shape == (0,)
+
+
+def test_chart_batch_mixed_orders_equal_per_order_stacks():
+    # One stack over orders 2..12 gives, row by row, the bits of the stack of
+    # each order alone; so do the critical-equation polynomials of lemma-roots.
+    rng = np.random.default_rng(6)
+    orders = list(range(2, 13))
+    per_d = {d: [(math.exp(rng.normal()), math.exp(rng.normal()) * rng.choice([-1.0, 1.0]),
+                  rng.uniform(1e-5, math.pi / 2)) for _ in range(9)] + [(1.0, 1.0, 1e-5)]
+             for d in orders}
+    rows = [r for d in orders for r in per_d[d]]
+    ds = np.repeat(orders, [len(per_d[d]) for d in orders])
+    mixed = ranktwo.chart_batch(rows, ds)
+    parts = [ranktwo.chart_batch(per_d[d], d) for d in orders]
+    assert np.array_equal(mixed[0].values, np.concatenate([p[0].values for p in parts]))
+    assert np.array_equal(mixed[0].points, np.concatenate([p[0].points for p in parts]))
+    assert np.array_equal(mixed[0].counts, np.concatenate([p[0].counts for p in parts]))
+    for k in (1, 2):
+        assert np.array_equal(mixed[k], np.concatenate([p[k] for p in parts]))
+    abg = {d: [(math.exp(rng.normal()), 0.0 if i % 4 == 0 else abs(rng.normal()),
+                math.exp(rng.normal())) for i in range(12)] for d in orders}
+    roots, counts = ranktwo.critical_equation_roots_batch(
+        [r for d in orders for r in abg[d]], np.repeat(orders, 12))
+    per = [ranktwo.critical_equation_roots_batch(abg[d], d) for d in orders]
+    assert np.array_equal(roots, np.concatenate([r for r, _ in per]))
+    assert np.array_equal(counts, np.concatenate([c for _, c in per]))
 
 
 def test_objective_stack_isolates_failed_rows():

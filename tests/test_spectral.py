@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circle_grid_max, random_binary, to_dense
+from conftest import antipodal_classes_reference, circle_grid_max, random_binary, to_dense
 from tensorratio.config import IterConfig
 from tensorratio.ranktwo import extremal_ratio, extremal_spectral_norm, extremal_tensor
 from tensorratio.spectral import (
     REL_MAX_TOL,
     DegenerateTensorError,
-    _dedup_antipodal,
+    ANTIPODAL_TOL,
+    _antipodal_classes,
     best_rank_one,
     binary_coeffs,
     count_global_maximizers,
@@ -166,7 +167,7 @@ def _power_reference(A, cfg, adaptive=True):
             candidates.append((abs(poly_eval(A, w)), w, converged))
     value = max(v for v, _, _ in candidates)
     near = [(w, ok) for v, w, ok in candidates if v >= value * (1.0 - REL_MAX_TOL)]
-    return (value, _dedup_antipodal([w for w, _ in near]), all(ok for _, ok in near),
+    return (value, antipodal_classes_reference([w for w, _ in near]), all(ok for _, ok in near),
             most_steps, fallbacks)
 
 
@@ -390,13 +391,89 @@ def test_batch_equals_single_rows(rng):
         C[1::4, 0] = 0.0
         C[2::5, 1] = 0.0
         C = np.vstack([C, binary_coeffs(sym_rank_one([1.0, 0.0], d))])
-        for row, ms in zip(C, spectral_norm_binary_batch(C)):
-            one = spectral_norm_binary_coeffs(row)
-            assert ms.value == one.value
+        res = spectral_norm_binary_batch(C)
+        assert res.counts.sum() == len(res.points) == len(res.row)
+        assert np.array_equal(res.row, np.repeat(np.arange(len(C)), res.counts))
+        for i, row in enumerate(C):
+            ms, one = res.maximizer_set(i), spectral_norm_binary_coeffs(row)
+            assert ms.value == one.value == res.values[i]
             assert ms.is_exact and one.is_exact
-            assert len(ms.points) == len(one.points)
+            assert len(ms.points) == len(one.points) == res.counts[i]
             for w, w1 in zip(ms.points, one.points):
                 assert np.array_equal(w, w1)
+
+
+def _binary_rows(rng, d, m):
+    C = rng.standard_normal((m, d + 1))
+    C[::3, -1] = 0.0
+    C[1::4, 0] = 0.0
+    return C
+
+
+def test_mixed_order_stack_equals_per_order_stacks(rng):
+    # Rows of orders 2..12 in one stack, each zero past its order, give the
+    # bits of the stack of their own order.
+    orders = np.arange(2, 13)
+    parts = [_binary_rows(rng, d, 7) for d in orders.tolist()]
+    C = np.zeros((sum(len(p) for p in parts), orders.max() + 1))
+    ds = np.repeat(orders, [len(p) for p in parts])
+    start = 0
+    for d, part in zip(orders.tolist(), parts):
+        C[start:start + len(part), :d + 1] = part
+        start += len(part)
+    mixed = spectral_norm_binary_batch(C, ds)
+    per = [spectral_norm_binary_batch(part) for part in parts]
+    assert np.array_equal(mixed.values, np.concatenate([r.values for r in per]))
+    assert np.array_equal(mixed.counts, np.concatenate([r.counts for r in per]))
+    assert np.array_equal(mixed.points, np.concatenate([r.points for r in per]))
+
+
+def test_antipodal_classes_match_pairwise_reference(rng):
+    # Clusters of points within ANTIPODAL_TOL of each other up to sign, some
+    # near the y-axis where orientation flips them (the wrap-around of the
+    # angle order), and single points; rows of 1 to 6 points.
+    tol = ANTIPODAL_TOL
+    for trial in range(200):
+        n = 2 if trial < 150 else 3
+        points, rows = [], []
+        for r in range(int(rng.integers(1, 6))):
+            for _ in range(int(rng.integers(1, 4))):
+                if rng.random() < 0.4:
+                    w = np.zeros(n)
+                    w[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 3e-7)
+                    w[1] = rng.choice([-1.0, 1.0])
+                else:
+                    w = rng.standard_normal(n)
+                w /= np.linalg.norm(w)
+                for _ in range(int(rng.integers(1, 4))):
+                    jitter = rng.standard_normal(n)
+                    jitter *= rng.choice([0.2, 0.45, 2.0]) * tol / np.linalg.norm(jitter)
+                    p = rng.choice([-1.0, 1.0]) * (w + jitter)
+                    points.append(p / np.linalg.norm(p))
+                    rows.append(r)
+        points, rows = np.array(points), np.array(rows)
+        got, got_rows = _antipodal_classes(points, rows)
+        for r in np.unique(rows):
+            ref = antipodal_classes_reference(points[rows == r])
+            mine = got[got_rows == r]
+            assert len(mine) == len(ref)
+            assert all(np.array_equal(w, w1) for w, w1 in zip(mine, ref))
+
+
+def test_antipodal_classes_of_many_close_points(rng):
+    # Power iteration hands over every near-maximal start, and with many
+    # starts most of them sit at +-w: thousands of points in a few classes
+    # take one pass per class, not a pass per pair.
+    w, v = rng.standard_normal((2, 3))
+    centres = np.repeat([w / np.linalg.norm(w), v / np.linalg.norm(v)], [3000, 1000], axis=0)
+    jitter = rng.standard_normal(centres.shape)
+    jitter *= 0.2 * ANTIPODAL_TOL / np.linalg.norm(jitter, axis=1, keepdims=True)
+    points = rng.choice([-1.0, 1.0], size=(len(centres), 1)) * (centres + jitter)
+    points = points[rng.permutation(len(points))]
+    got, rows = _antipodal_classes(points, np.zeros(len(points), dtype=np.intp))
+    ref = antipodal_classes_reference(points)
+    assert len(got) == len(ref) == 2 and not rows.any()
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_maximizer_sign_convention(rng):
