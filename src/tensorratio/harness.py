@@ -18,6 +18,7 @@ import numpy as np
 from .config import IterConfig, SearchConfig
 from .ranktwo import (
     BorderParams,
+    border_batch,
     border_ratio_scan,
     canonical_params,
     chart_batch,
@@ -31,7 +32,7 @@ from .ranktwo import (
     make_rank_two,
     min_ratio_search,
 )
-from .spectral import spectral_norm, spectral_norm_binary
+from .spectral import DegenerateTensorError, spectral_norm
 from .symtensor import SymTensor, frob_norm
 from .tensor3 import (
     ALS_CONFIG,
@@ -115,7 +116,10 @@ def report_for(obj, descriptor: str, cfg: IterConfig | None = None) -> RatioRepo
     """Full spectral/Frobenius report for a symmetric or third-order tensor."""
     if isinstance(obj, SymTensor):
         fro = _report_norm(frob_norm(obj))
-        ms = spectral_norm(obj, cfg)
+        try:
+            ms = spectral_norm(obj, cfg)
+        except DegenerateTensorError:
+            raise UsageError("rotation-invariant form: report undefined") from None
         method = "exact_binary" if ms.is_exact else "power"
         value, maximizers, is_exact = ms.value, list(ms.points), ms.is_exact
         steps = {"iterations": ms.iterations, "capped_rows": ms.capped_rows}
@@ -417,16 +421,10 @@ def _suite_prop_equal(seed: int, budget: int | None) -> SuiteResult:
 def _suite_lemma_roots(seed: int, budget: int | None) -> SuiteResult:
     per_d = budget or 1_000
     failures: list = []
-    abg = {}
-    for d in range(3, 9):
-        rng = rng_for(seed, 3, d)
-        abg[d] = []
-        for i in range(per_d):
-            a = math.exp(rng.normal())
-            gamma = math.exp(rng.normal())
-            b = 0.0 if i % 10 == 0 else abs(rng.normal())
-            abg[d].append((a, b, gamma))
-    rows, ds = _order_stack(abg)
+    z, ds = _order_stack({d: rng_for(seed, 3, d).standard_normal((per_d, 3)) for d in range(3, 9)})
+    # (a, b, gamma): a and gamma lognormal, b half-normal, 0 on every tenth row of an order.
+    rows = np.column_stack([np.exp(z[:, 0]), np.abs(z[:, 1]), np.exp(z[:, 2])])
+    rows[np.arange(len(rows)) % per_d % 10 == 0, 1] = 0.0
     _, counts = critical_equation_roots_batch(rows, ds)
     expected = 2 + ds % 2
     for i in np.nonzero(counts != expected)[0].tolist():
@@ -452,22 +450,28 @@ def _suite_prop_unique(seed: int, budget: int | None) -> SuiteResult:
 def _suite_border_scan(seed: int, budget: int | None) -> SuiteResult:
     steps = budget or 201
     failures: list = []
-    cases = 0
-    for d in range(3, 9):
-        bound = extremal_ratio(d)
-        rows = border_ratio_scan(d, steps)
-        cases += 1
-        if abs(rows[0].ratio - bound) > 1e-10:
-            _record(failures, d=d, check="equality at a=0", ratio=rows[0].ratio, bound=bound)
-        for row in rows:
-            cases += 1
-            ok = row.lb_interior <= row.ratio + 1e-12 and row.lb_axis <= row.ratio + 1e-12
-            if row.a > 0.0:
-                ok = ok and row.ratio > bound
-            if not ok:
-                _record(failures, d=d, a=row.a, ratio=row.ratio,
-                        lb_interior=row.lb_interior, lb_axis=row.lb_axis)
-    return SuiteResult("border-scan", cases, failures, seed=seed)
+    orders = range(3, 9)
+    a, b, ratio, lb_interior, lb_axis, ds = border_ratio_scan(orders, steps)
+    bound = _per_order(ds, extremal_ratio)
+    # The a = 0 row of each order attains the bound; every row dominates both
+    # lower bounds, and lies strictly above the bound where a > 0.
+    unequal = (a == 0.0) & (np.abs(ratio - bound) > 1e-10)
+    bad = ~((lb_interior <= ratio + 1e-12) & (lb_axis <= ratio + 1e-12)
+            & ((a == 0.0) | (ratio > bound)))
+    for i in np.nonzero(unequal | bad)[0].tolist():
+        row = dict(d=int(ds[i]), ratio=float(ratio[i]))
+        if unequal[i]:
+            _record(failures, **row, check="equality at a=0", bound=float(bound[i]))
+        if bad[i]:
+            _record(failures, **row, a=float(a[i]), lb_interior=float(lb_interior[i]),
+                    lb_axis=float(lb_axis[i]))
+
+    def witness(i):
+        return dict(a=float(a[i]), b=float(b[i]), ratio=float(ratio[i]), bound=float(bound[i]))
+
+    inner = np.nonzero(a > 0.0)[0]  # a = 0 is the equality case, checked above
+    margins = _margins(ds[inner], (ratio - bound)[inner], lambda j: witness(inner[j]))
+    return SuiteResult("border-scan", len(ds) + len(orders), failures, seed=seed, margins=margins)
 
 
 def _screen_ratios(stack: np.ndarray, bound: float, seed: int) -> np.ndarray:
@@ -560,10 +564,7 @@ def _sweep_diff_t(d: int, steps: int, tmin: float):
 def _sweep_border_ab(d: int, steps: int):
     if d < 2 or steps < 2:
         raise UsageError("border_ab needs d >= 2 and steps >= 2")
-    rows = [
-        [row.a, row.b, row.ratio, row.lb_interior, row.lb_axis]
-        for row in border_ratio_scan(d, steps)
-    ]
+    rows = np.column_stack(border_ratio_scan(d, steps)[:5]).tolist()
     return ["a", "b", "ratio", "lb_interior", "lb_axis"], rows
 
 
@@ -574,8 +575,8 @@ def _sweep_limit_d(dmin: int, dmax: int):
     dist_limit = math.sqrt(1.0 - 1.0 / math.e)
     rows = []
     for d in range(dmin, dmax + 1):
-        A = extremal_tensor(d)
-        r = spectral_norm_binary(A).value / frob_norm(A)
+        # The extremal tensor, of norm sqrt(d); one solve per order keeps each stack d + 1 wide.
+        r = float(border_batch([(0.0, 1.0)], d)[0].values[0]) / math.sqrt(d)
         rows.append([d, r, math.sqrt(max(1.0 - r * r, 0.0)), ratio_limit, dist_limit])
     return ["d", "ratio", "distance", "ratio_limit", "distance_limit"], rows
 

@@ -31,12 +31,12 @@ from .symtensor import (
 
 __all__ = [
     "BorderParams",
-    "BorderScanRow",
     "CaseTag",
     "MinRatioResult",
     "NondifferentiablePointError",
     "RankTwoParams",
     "RatioGrad",
+    "border_batch",
     "border_ratio_scan",
     "canonical_params",
     "chart_batch",
@@ -193,15 +193,13 @@ def make_border(p: BorderParams, d: int) -> SymTensor:
 
 
 def extremal_tensor(d: int) -> SymTensor:
-    """The order-d boundary tensor d*e1^(d-1)e2 over R^2.
+    """The order-d boundary tensor d*e1^(d-1)e2 over R^2, the border row (0, 1).
 
     Up to orthogonal transforms and scale it is the unique minimizer of the
     spectral-to-Frobenius ratio among symmetric border-rank-two tensors; the
     closed-form norms are provided by the companion helpers.
     """
-    if d < 2:
-        raise ValueError("need order d >= 2")
-    return float(d) * sym_outer(np.array([1.0, 0.0]), d - 1, np.array([0.0, 1.0]), 1)
+    return make_border(BorderParams(0.0, 1.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])), d)
 
 
 def extremal_frob_norm(d: int) -> float:
@@ -280,6 +278,22 @@ def chart_batch(rows, d):
     coeffs, d, one_minus_cd = _chart_coeffs(rows, d)
     return (spectral_norm_binary_batch(coeffs, d), one_minus_cd,
             _pair_frob_sq(alpha, beta, one_minus_cd))
+
+
+def border_batch(rows, d):
+    """Solve each border row (a, b) of a*e1^d + b*d*e1^(d-1)e2 in one stack;
+    d is one order for every row or an array of per-row orders.  Returns the
+    spectral_norm_binary_batch result and the squared Frobenius norms a^2 + d*b^2.
+    """
+    a, b = np.asarray(rows, dtype=float).reshape(-1, 2).T
+    d = np.broadcast_to(d, a.shape).astype(np.intp)
+    if (d < 2).any():
+        raise ValueError("border tensors need order d >= 2")
+    # Binary coefficients: a at x^d and d*b at x^(d-1)y.
+    coeffs = np.zeros((len(d), d.max(initial=2) + 1))
+    coeffs[np.arange(len(d)), d] = a
+    coeffs[np.arange(len(d)), d - 1] = d * b
+    return spectral_norm_binary_batch(coeffs, d), a * a + d * b * b
 
 
 def _chart_entry(charts, i: int):
@@ -827,41 +841,28 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BorderScanRow:
-    a: float
-    b: float
-    ratio: float
-    lb_interior: float
-    lb_axis: float
-
-
-def border_ratio_scan(d: int, steps: int) -> list[BorderScanRow]:
-    """Sweep the unit-Frobenius boundary family a*e1^d + b*d*e1^(d-1)e2.
+def border_ratio_scan(d, steps: int):
+    """Sweep the unit-Frobenius boundary family a*e1^d + b*d*e1^(d-1)e2 over
+    one order d or a sequence of them, order after order, in one border_batch solve.
 
     a runs over [0, 1] with b = sqrt((1 - a^2)/d), so the exact ratio equals
-    the spectral norm; rows carry both closed-form lower bounds alongside it.
+    the spectral norm.  Returns arrays (a, b, ratio, lb_interior, lb_axis,
+    order); the lower bounds are p at (sqrt(1 - 1/d), sqrt(1/d)) and at (1, 0).
     The minimum sits at a = 0 where the ratio equals (1 - 1/d)^((d-1)/2);
     a one-point grid is that row alone.
     """
     if steps < 1:
         raise ValueError("need at least 1 grid point")
-    if d < 2:
+    orders = np.atleast_1d(np.asarray(d, dtype=np.intp))
+    if (orders < 2).any():
         raise ValueError("need order d >= 2")
-    ab = []
-    coeffs = np.zeros((steps, d + 1))
-    for i, a in enumerate(np.linspace(0.0, 1.0, steps).tolist()):
-        b = math.sqrt(max(1.0 - a * a, 0.0) / d)
-        ab.append((a, b))
-        # Binary coefficients of a*x^d + d*b*x^(d-1)y, as binary_coeffs gives them.
-        coeffs[i, d] = a
-        coeffs[i, d - 1] = d * b
-    rows = []
-    for (a, b), value in zip(ab, spectral_norm_binary_batch(coeffs).values.tolist()):
-        lb_interior = (
-            a * (d - 1.0) ** (d / 2.0) + b * d * (d - 1.0) ** ((d - 1) / 2.0)
-        ) / d ** (d / 2.0)
-        rows.append(
-            BorderScanRow(a=a, b=b, ratio=value, lb_interior=lb_interior, lb_axis=a)
-        )
-    return rows
+    order = np.repeat(orders, steps)
+    a = np.tile(np.linspace(0.0, 1.0, steps), len(orders))
+    b = np.sqrt(np.maximum(1.0 - a * a, 0.0) / order)
+    maxima, _ = border_batch(np.column_stack([a, b]), order)
+    # a (1 - 1/d)^(d/2) + b sqrt(d) (1 - 1/d)^((d-1)/2), with each order's
+    # powers in Python floats: numpy's ** differs from libm by an ulp on some.
+    ds = orders.tolist()
+    lb_interior = (a * np.repeat([(1.0 - 1.0 / k) ** (k / 2.0) for k in ds], steps)
+                   + b * np.repeat([math.sqrt(k) * extremal_ratio(k) for k in ds], steps))
+    return a, b, maxima.values, lb_interior, a.copy(), order

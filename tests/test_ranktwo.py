@@ -741,19 +741,52 @@ def test_objective_walk_charges_what_it_yields():
 
 def test_border_ratio_scan():
     for d in (3, 5):
-        rows = border_ratio_scan(d, 41)
+        a, b, ratio, lb_interior, lb_axis, order = border_ratio_scan(d, 41)
         bound = extremal_ratio(d)
-        assert rows[0].a == 0.0
-        assert rows[0].ratio == pytest.approx(bound, abs=1e-10)
-        assert rows[-1].ratio == pytest.approx(1.0, abs=1e-12)
-        for row in rows:
-            assert abs(row.a**2 + row.b**2 * d - 1.0) < 1e-12
-            assert row.lb_interior <= row.ratio + 1e-12
-            assert row.lb_axis <= row.ratio + 1e-12
-            if row.a > 0:
-                assert row.ratio > bound
+        assert a[0] == 0.0 and (order == d).all() and len(a) == 41
+        assert ratio[0] == pytest.approx(bound, abs=1e-10)
+        assert ratio[-1] == pytest.approx(1.0, abs=1e-12)
+        assert (np.abs(a**2 + b**2 * d - 1.0) < 1e-12).all()
+        assert (lb_interior <= ratio + 1e-12).all()
+        assert (lb_axis <= ratio + 1e-12).all()
+        assert (ratio[a > 0] > bound).all()
+        # The interior bound once went through d^(d/2), which overflows from
+        # d = 256 on; below that the two forms agree to roundoff.
+        old = [(x * (d - 1.0) ** (d / 2.0) + y * d * (d - 1.0) ** ((d - 1) / 2.0)) / d ** (d / 2.0)
+               for x, y in zip(a.tolist(), b.tolist())]
+        assert lb_interior == pytest.approx(old, rel=1e-14)
     # A one-point grid is the a = 0 row alone (border-scan at budget 1).
-    [row] = border_ratio_scan(4, 1)
-    assert row.a == 0.0 and row == border_ratio_scan(4, 41)[0]
+    one = border_ratio_scan(4, 1)
+    assert one[0].tolist() == [0.0]
+    assert [x[0] for x in one] == [x[0] for x in border_ratio_scan(4, 41)]
     with pytest.raises(ValueError):
         border_ratio_scan(3, 0)
+    with pytest.raises(ValueError):
+        border_ratio_scan([3, 1], 5)
+
+
+def test_border_ratio_scan_stacked_equals_per_order():
+    # One stacked solve over orders 2..12 gives every order's own scan, bit for bit.
+    orders = range(2, 13)
+    stacked = border_ratio_scan(orders, 23)
+    for d in orders:
+        at = stacked[5] == d
+        for got, want in zip(stacked, border_ratio_scan(d, 23)):
+            assert np.array_equal(got[at], want)
+
+
+def test_border_batch_matches_make_border():
+    # Per-row orders in one stack, against make_border and the one-tensor solver.
+    rng = np.random.default_rng(3)
+    ds = np.array([2, 3, 4, 5, 8, 12, 3, 300, 300, 7])
+    rows = np.abs(rng.standard_normal((len(ds), 2)))
+    rows[1, 0] = rows[7, 0] = 0.0  # the extremal rows
+    rows[2, 1] = 0.0  # a rank-one row
+    maxima, fro_sq = ranktwo.border_batch(rows, ds)
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    for i, ((a, b), d) in enumerate(zip(rows.tolist(), ds.tolist())):
+        T = make_border(BorderParams(a=a, b=b, u=e1, v=e2), d)
+        assert maxima.values[i] == pytest.approx(spectral_norm_binary(T).value, rel=1e-13)
+        assert fro_sq[i] == pytest.approx(frob_norm(T) ** 2, rel=1e-13)
+    with pytest.raises(ValueError):
+        ranktwo.border_batch([(1.0, 1.0)], 1)
