@@ -5,7 +5,7 @@ a*u^d + b*d*u^(d-1)v, the squared spectral-to-Frobenius ratio objective with
 its gradient in the differentiable (unique-maximizer) case, the projection
 formula onto the tangent-like subspace spanned by u^(d-1) and v^(d-1), the
 critical-point equation with its parity root count, the case-analysis bound
-functions, and a multistart infimum search for the minimal ratio.
+functions, and a multistart compass search for the infimum of the ratio.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import SearchConfig
 from .rootfind import real_roots_batch
-from .spectral import spectral_norm_binary_batch
+from .spectral import as_orders, spectral_norm_binary_batch
 from .symtensor import (
     DegenerateSpanError,
     GRAM_RTOL,
@@ -250,7 +250,7 @@ def _chart_coeffs(rows, d):
     """Binary coefficients c_0..c_d of each chart row, zero past its order,
     with the per-row orders and 1 - cos^d; see chart_batch."""
     alpha, beta, theta = np.asarray(rows, dtype=float).reshape(-1, 3).T
-    d = np.broadcast_to(d, alpha.shape).astype(np.intp)
+    d = as_orders(d, len(alpha))
     one_minus_cd = _cos_gap_pow(theta, d)
     k = np.arange(d.max(initial=0) + 1)
     dk = d[:, None] - k
@@ -286,7 +286,7 @@ def border_batch(rows, d):
     spectral_norm_binary_batch result and the squared Frobenius norms a^2 + d*b^2.
     """
     a, b = np.asarray(rows, dtype=float).reshape(-1, 2).T
-    d = np.broadcast_to(d, a.shape).astype(np.intp)
+    d = as_orders(d, len(a))
     if (d < 2).any():
         raise ValueError("border tensors need order d >= 2")
     # Binary coefficients: a at x^d and d*b at x^(d-1)y.
@@ -308,42 +308,6 @@ def _chart_of(p: RankTwoParams, d: int):
     # 2 asin(||u - v|| / 2) keeps the angle accurate where acos(<u, v>) loses it.
     theta = 2.0 * math.asin(float(np.linalg.norm(p.u - p.v)) / 2.0)
     return _chart_entry(chart_batch([(p.alpha, p.beta, theta)], d), 0)
-
-
-def _grad_core(alpha, beta, u, v, chart, d: int, lift=np.asarray, with_u: bool = True):
-    """Unprojected gradient (d_alpha, d_beta, g_u, g_v) of the squared ratio.
-
-    chart is the one-row chart entry (_chart_entry) of alpha*u^d - beta*v^d
-    and lift maps its maximizer onto u, v's space; g_u is None unless with_u.  Requires a unique global maximizer w (the
-    spectral norm is then smooth, with the normalized best rank-one tensor as
-    derivative); raises NondifferentiablePointError otherwise.
-    """
-    ms, one_minus_cd, fro_sq = chart
-    if len(ms.points) != 1:
-        raise NondifferentiablePointError(
-            f"{len(ms.points)} global maximizers; the ratio is not differentiable here"
-        )
-    w = lift(ms.points[0])
-    uv = float(u @ v)
-    wu = float(w @ u)
-    wv = float(w @ v)
-    lam = alpha * wu**d - beta * wv**d
-    sgn = 1.0 if lam >= 0.0 else -1.0
-    sigma = ms.value
-    scale = 2.0 * sigma / fro_sq**2
-
-    p_at_u = (alpha - beta) + beta * one_minus_cd
-    p_at_v = (alpha - beta) - alpha * one_minus_cd
-    grad_at_v = d * (alpha * uv ** (d - 1) * u - beta * v)
-
-    d_alpha = scale * (sgn * fro_sq * wu**d - sigma * p_at_u)
-    d_beta = -scale * (sgn * fro_sq * wv**d - sigma * p_at_v)
-    g_v = -scale * beta * (sgn * fro_sq * d * wv ** (d - 1) * w - sigma * grad_at_v)
-    g_u = None
-    if with_u:
-        grad_at_u = d * (alpha * u - beta * uv ** (d - 1) * v)
-        g_u = scale * alpha * (sgn * fro_sq * d * wu ** (d - 1) * w - sigma * grad_at_u)
-    return d_alpha, d_beta, g_u, g_v
 
 
 def ratio_squared(p: RankTwoParams, d: int) -> float:
@@ -376,13 +340,34 @@ class RatioGrad:
 def ratio_squared_grad(p: RankTwoParams, d: int) -> RatioGrad:
     """Exact gradient of the squared ratio in the differentiable case.
 
-    Requires a unique global maximizer; raises NondifferentiablePointError
-    otherwise.
+    Requires a unique global maximizer w (the spectral norm is then smooth,
+    with the normalized best rank-one tensor as derivative); raises
+    NondifferentiablePointError otherwise.
     """
-    u, v = p.u, p.v
-    d_alpha, d_beta, g_u, g_v = _grad_core(
-        p.alpha, p.beta, u, v, _chart_of(p, d), d, plane_frame(u, v).lift
-    )
+    alpha, beta, u, v = p.alpha, p.beta, p.u, p.v
+    ms, one_minus_cd, fro_sq = _chart_of(p, d)
+    if len(ms.points) != 1:
+        raise NondifferentiablePointError(
+            f"{len(ms.points)} global maximizers; the ratio is not differentiable here"
+        )
+    w = plane_frame(u, v).lift(ms.points[0])
+    uv = float(u @ v)
+    wu = float(w @ u)
+    wv = float(w @ v)
+    lam = alpha * wu**d - beta * wv**d
+    sgn = 1.0 if lam >= 0.0 else -1.0
+    sigma = ms.value
+    scale = 2.0 * sigma / fro_sq**2
+
+    p_at_u = (alpha - beta) + beta * one_minus_cd
+    p_at_v = (alpha - beta) - alpha * one_minus_cd
+    grad_at_u = d * (alpha * u - beta * uv ** (d - 1) * v)
+    grad_at_v = d * (alpha * uv ** (d - 1) * u - beta * v)
+
+    d_alpha = scale * (sgn * fro_sq * wu**d - sigma * p_at_u)
+    d_beta = -scale * (sgn * fro_sq * wv**d - sigma * p_at_v)
+    g_u = scale * alpha * (sgn * fro_sq * d * wu ** (d - 1) * w - sigma * grad_at_u)
+    g_v = -scale * beta * (sgn * fro_sq * d * wv ** (d - 1) * w - sigma * grad_at_v)
     g_u = g_u - (g_u @ u) * u
     g_v = g_v - (g_v @ v) * v
     return RatioGrad(d_alpha=float(d_alpha), d_beta=float(d_beta), d_u=g_u, d_v=g_v)
@@ -421,7 +406,7 @@ def critical_equation_roots_batch(abg, d) -> tuple[np.ndarray, np.ndarray]:
     real_roots_batch's (roots, counts).
     """
     a, b, gamma = np.asarray(abg, dtype=float).reshape(-1, 3).T
-    d = np.broadcast_to(d, a.shape).astype(np.intp)
+    d = as_orders(d, len(a))
     if (d < 2).any():
         raise ValueError("need order d >= 2")
     if not ((a > 0.0) & (gamma > 0.0) & (b >= 0.0)).all():
@@ -491,9 +476,13 @@ def equal_diff_frob_sq(d: int, t: float) -> float:
 
 
 def equal_diff_spectral_lb(d: int, t: float) -> float:
-    """Spectral-norm lower bound of the same family via a fixed test direction."""
+    """Spectral-norm lower bound of the same family via a fixed test direction.
+
+    ((sqrt(d-1) + t)^d - (sqrt(d-1) - t)^d) / d^(d/2), with the scale inside
+    the powers so that no term overflows at high order.
+    """
     _check_t(t)
-    return _pow_diff(math.sqrt(d - 1.0), t, d) / d ** (d / 2.0)
+    return _pow_diff(math.sqrt(1.0 - 1.0 / d), t / math.sqrt(d), d)
 
 
 def equal_diff_ratio_lb(d: int, t: float) -> float:
@@ -530,7 +519,6 @@ def classify_case(p: RankTwoParams) -> CaseTag:
 # ---------------------------------------------------------------------------
 
 _THETA_MIN = 3e-5       # evaluation floor: below it the drift family is flat to roundoff
-_MAX_STEPS = 150        # gradient steps per descent
 
 
 class _BudgetExhausted(Exception):
@@ -591,14 +579,13 @@ class _Objective:
         self.trace = []
 
     def solve(self, xs) -> list:
-        """Uncharged (squared ratio, (chart_batch result, row)) at each point of
-        xs, in one stacked solve.
+        """Uncharged squared ratio at each point of xs, in one stacked solve.
 
-        A point off the chart gets (inf, None), and so does a point whose solve
-        raises ValueError: a failed stack is solved again row by row, so that
-        one degenerate row does not fail its neighbours.
+        A point off the chart gets inf, and so does a point whose solve raises
+        ValueError: a failed stack is solved again row by row, so that one
+        degenerate row does not fail its neighbours.
         """
-        out = [(math.inf, None)] * len(xs)
+        out = [math.inf] * len(xs)
         idx = [i for i, (alpha, beta, theta) in enumerate(xs)
                if alpha > 0.0 and beta != 0.0 and _THETA_MIN <= theta <= math.pi / 2]
         if not idx:
@@ -610,45 +597,31 @@ class _Objective:
             rows = [(_chart_or_none(xs[i], self.d), 0) for i in idx]
         for i, (charts, j) in zip(idx, rows):
             if charts is not None and charts[2][j] > 0.0:
-                out[i] = (float(charts[0].values[j] ** 2 / charts[2][j]), (charts, j))
+                out[i] = float(charts[0].values[j] ** 2 / charts[2][j])
         return out
 
     def walk(self, xs):
-        """Yield the points of xs the budget can still pay for, and receive their solve entries.
+        """Yield the points of xs the budget can still pay for, and receive their squared ratios.
 
-        Returns an iterator over those entries that charges one evaluation per
-        entry taken; taking one more raises _BudgetExhausted.  Callers write
-        ``for entry in (yield from f.walk(xs))``, and _lockstep does the solving.
+        Returns an iterator over those values that charges one evaluation per
+        value taken; taking one more raises _BudgetExhausted.  Callers write
+        ``for fc in (yield from f.walk(xs))``, and _lockstep does the solving.
         """
         paid = xs[:max(0, self.budget - self.evals)]
-        entries = yield paid
-        return self._charge(entries, len(paid) < len(xs))
+        values = yield paid
+        return self._charge(values, len(paid) < len(xs))
 
-    def _charge(self, entries, cut: bool):
-        for entry in entries:
+    def _charge(self, values, cut: bool):
+        for fc in values:
             self.evals += 1
-            yield entry
+            yield fc
         if cut:
             raise _BudgetExhausted
 
-    def grad(self, x, solved):
-        """Chart gradient at x, whose solve gave solved, a (chart_batch result,
-        row) pair; raises NondifferentiablePointError at kinks."""
-        alpha, beta, theta = x
-        c, s = math.cos(theta), math.sin(theta)
-        d_alpha, d_beta, _, g_v = _grad_core(
-            alpha, beta, np.array([1.0, 0.0]), np.array([c, s]), _chart_entry(*solved), self.d,
-            with_u=False,
-        )
-        # Chain rule through v = (cos theta, sin theta).
-        d_theta = float(g_v @ np.array([-s, c]))
-        return np.array([d_alpha, d_beta, d_theta])
-
-    def record(self, start_id, step_id, fx, x):
+    def record(self, start_id, fx, x):
         """Trace an accepted point, tagged with the charge that paid for it."""
-        self.trace.append((self.evals, {"start": start_id, "step": step_id, "F": fx,
-                                        "alpha": float(x[0]), "beta": float(x[1]),
-                                        "theta": float(x[2])}))
+        self.trace.append((self.evals, {"start": start_id, "F": fx, "alpha": float(x[0]),
+                                        "beta": float(x[1]), "theta": float(x[2])}))
 
 
 def _lockstep(fs, gens, budget: int) -> list:
@@ -684,45 +657,14 @@ def _lockstep(fs, gens, budget: int) -> list:
 
 
 def _start(f: _Objective, x0, start_id):
-    """One start: its charged value at x0, then its descent.
+    """One start: its charged value at x0, then its compass search.
 
-    Returns the descent's (x, F), or None when x0 is off the chart.
+    Returns the search's (x, F), or None when x0 is off the chart.
     """
-    [(f0, chart)] = yield from f.walk([x0])
+    [f0] = yield from f.walk([x0])
     if not math.isfinite(f0):
         return None
-    return (yield from _descend(f, np.array(x0), f0, chart, start_id))
-
-
-def _descend(f: _Objective, x0, f0, chart, start_id):
-    """Armijo-backtracked gradient descent with coordinate-search fallback.
-
-    chart is the solve's chart at x0.  Each step's ladder of 40 halved step
-    sizes is one stack; the steps up to the first accepted one are charged.
-    """
-    x, fx = np.asarray(x0, dtype=float), f0
-    for step_id in range(_MAX_STEPS):
-        try:
-            g = f.grad(x, chart)
-        except NondifferentiablePointError:
-            return (yield from _coordinate_search(f, x, fx, start_id))
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < 1e-14:
-            break
-        # Relative step sizing keeps the scale-invariant directions tame.
-        steps = [max(1.0, float(np.linalg.norm(x))) / gnorm]
-        for _ in range(39):
-            steps.append(steps[-1] * 0.5)
-        cands = [x - t * g for t in steps]
-        # The accepted candidate's chart serves the next gradient.
-        for t, cand, (fc, chart) in zip(steps, cands, (yield from f.walk(cands))):
-            if fc <= fx - 1e-4 * t * gnorm**2:
-                x, fx = cand, fc
-                f.record(start_id, step_id, fx, x)
-                break
-        else:
-            break
-    return x, fx
+    return (yield from _coordinate_search(f, x0, f0, start_id))
 
 
 def _poll(x, h: float) -> list:
@@ -749,10 +691,10 @@ def _coordinate_search(f: _Objective, x, fx, start_id):
         k = 0
         while k < 6:
             cands = _poll(x, h)[k:]
-            for i, (fc, _) in enumerate((yield from f.walk(cands))):
+            for i, fc in enumerate((yield from f.walk(cands))):
                 if fc < fx:
                     x, fx, moved = cands[i], fc, True
-                    f.record(start_id, -1, fx, x)
+                    f.record(start_id, fx, x)
                     break
             k += i + 1
         if not moved:
@@ -763,12 +705,13 @@ def _coordinate_search(f: _Objective, x, fx, start_id):
 def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
     """Multistart minimization of the squared ratio over rank-two parameters.
 
-    Hybrid scheme: projected gradient steps with Armijo backtracking where the
-    objective is smooth, and derivative-free coordinate search near points
-    with multiple maximizers, which follows the small-angle drift of
-    minimizing sequences down to the evaluation floor.  Returns the best value
-    found (never a claim of attainment); under the sharp lower bound the
-    result stays above (1 - 1/d)^(d-1).
+    Every start runs a derivative-free compass search on the (alpha, beta,
+    theta) chart.  Minimizing sequences balance their coefficients while the
+    directions coincide, where the maximizer is not unique and the ratio has
+    a kink at alpha = beta; the compass search follows that small-angle drift
+    down to the evaluation floor.  Returns the best value found (never a
+    claim of attainment); under the sharp lower bound the result stays above
+    (1 - 1/d)^(d-1).
 
     The starts share one budget in order.  The six balanced starts run in
     lockstep, and each random start runs alone; the result is that of running
@@ -791,7 +734,8 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
     trace: list[dict] = []
     exhausted = False
     # The balanced starts cost alike and run together.  Random starts run
-    # alone: their speculative Armijo ladders would cost more than they save.
+    # alone: one can charge thousands of evaluations, so in lockstep the
+    # later ones would mostly solve polls that the budget never reaches.
     groups = [list(enumerate(starts[:6]))] + [[(i, x0)] for i, x0 in enumerate(starts[6:], 6)]
     for group in groups:
         fs = [_Objective(d, budget) for _ in group]
@@ -805,8 +749,8 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
             trace += [rec for k, rec in f.trace if k <= cap]
             if exhausted:
                 if best_x is None and cap > 0:
-                    # The budget ran out inside the first descent: report its start.
-                    f0 = f.solve([x0])[0][0]
+                    # The budget ran out inside the first search: report its start.
+                    f0 = f.solve([x0])[0]
                     if math.isfinite(f0):
                         best_x, best_f = x0, f0
                 break
@@ -853,7 +797,7 @@ def border_ratio_scan(d, steps: int):
     """
     if steps < 1:
         raise ValueError("need at least 1 grid point")
-    orders = np.atleast_1d(np.asarray(d, dtype=np.intp))
+    orders = np.atleast_1d(as_orders(d))
     if (orders < 2).any():
         raise ValueError("need order d >= 2")
     order = np.repeat(orders, steps)

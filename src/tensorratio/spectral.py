@@ -123,6 +123,22 @@ def binary_coeffs(A: SymTensor) -> np.ndarray:
     return np.array([math.comb(d, k) * A.coeff((k, d - k)) for k in range(d + 1)])
 
 
+def as_orders(d, m: int | None = None) -> np.ndarray:
+    """d as an integer array of orders, broadcast to m rows when m is given.
+
+    Takes ints, numpy integers and integral floats; any other order raises
+    ValueError instead of being truncated.
+    """
+    d = np.asarray(d)
+    if m is not None:
+        d = np.broadcast_to(d, (m,))
+    with np.errstate(invalid="ignore"):
+        orders = d.astype(np.intp)
+    if not np.array_equal(orders, d):
+        raise ValueError("order d must be an integer")
+    return orders
+
+
 def _tangential_coeffs(C: np.ndarray, d=None) -> np.ndarray:
     """Rows of q = x * dp/dy - y * dp/dx in the same x^m y^(d-m) basis as C.
 
@@ -169,7 +185,7 @@ def spectral_norm_binary_batch(C, d=None) -> BinaryMaxima:
     """
     C = np.asarray(C, dtype=float)
     m, n = C.shape
-    d = np.full(m, n - 1 if d is None else d, dtype=np.intp)
+    d = as_orders(n - 1 if d is None else d, m)
     if not C.any(axis=1).all():
         raise ValueError("zero tensor has no spectral maximizer")
     Q = _tangential_coeffs(C, d)

@@ -310,6 +310,18 @@ def test_border_ab_at_high_order(capsys):
         assert lb_interior <= ratio + 1e-12 and lb_axis <= ratio + 1e-12
 
 
+def test_diff_t_at_high_order(capsys):
+    # family_lb once divided by d^(d/2), which overflows at d = 300.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "diff_t", "--d", "300", "--steps", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,ratio_sq,family_lb,bound" and len(lines) == 4
+    for line in lines[1:]:
+        t, ratio_sq, family_lb, bound = map(float, line.split(","))
+        assert 0.0 < family_lb <= ratio_sq + 1e-12 and bound < ratio_sq
+
+
 def test_suite_result_invariant():
     ok = SuiteResult("x", 3, [])
     bad = SuiteResult("x", 3, [{"case": 1}])
@@ -336,7 +348,7 @@ def test_sweep_rows():
 
 def test_search_min_ratio_report():
     rep, trace = search_min_ratio(3, SearchConfig(starts=10, budget=2000, seed=0))
-    assert trace and {"start", "step", "F", "alpha", "beta", "theta"} == set(trace[0])
+    assert trace and {"start", "F", "alpha", "beta", "theta"} == set(trace[0])
     assert rep["best_ratio"] > rep["bound_ratio"]
     assert rep["best_ratio"] - rep["bound_ratio"] < 1e-3
     assert "not attained" in rep["note"]

@@ -382,6 +382,17 @@ def test_axis_probe_still_counts_when_critical():
     assert np.allclose(ms.points[0], [1.0, 0.0])
 
 
+def test_binary_batch_rejects_non_integral_orders():
+    # A non-integral order was once truncated, so order 3.5 solved row 0 at order 3.
+    C = np.array([[1.0, -2.0, 0.5, 3.0, 0.0], [0.5, 1.0, -1.0, 0.25, 2.0]])
+    want = spectral_norm_binary_batch(C).values
+    for d in (4, np.int64(4), 4.0, [4.0, 4.0]):
+        assert np.array_equal(spectral_norm_binary_batch(C, d).values, want)
+    for d in (3.5, [3, 3.5], math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            spectral_norm_binary_batch(C, d)
+
+
 def test_batch_equals_single_rows(rng):
     # Random forms, forms with zero coefficients (axis probe critical or not)
     # and a maximizer hugging the axis share one stack per order.
