@@ -15,6 +15,7 @@ import sys
 
 from .config import IterConfig, SearchConfig
 from .harness import (
+    SCREEN_STARTS,
     SUITES,
     UsageError,
     parse_tensor_spec,
@@ -110,7 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, default=40, help="limit_d last order")
 
     p = _subparser(sub, "search", ("--seed", "--budget", "--starts"),
-                   help="infimum search or counterexample sampling")
+                   help="infimum search or counterexample sampling",
+                   epilog="min-ratio-sym: --budget caps the evaluations (default 10000) and "
+                          "--starts counts the starts (default 64; below 8 means 8). The six "
+                          "balanced starts run first and charge about 2,000 evaluations, so "
+                          "below that --seed and --starts change nothing. "
+                          "counterexample-nonsym: --budget is the sample count (default "
+                          "10000) and --starts the screen's random ALS starts (default 8); "
+                          "budget * 2^d may not exceed 2^26.")
     p.add_argument("target", choices=("min-ratio-sym", "counterexample-nonsym"))
     p.add_argument("--d", type=int, default=3, help="tensor order")
     p.add_argument("--trace", default=None, metavar="PATH",
@@ -173,11 +181,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    cfg = SearchConfig(
-        starts=args.starts or 64,
-        budget=args.budget or 10_000,
-        seed=args.seed,
-    )
+    overrides = {name: getattr(args, name) for name in ("starts", "budget")
+                 if getattr(args, name) is not None}
+    base = SearchConfig() if args.target == "min-ratio-sym" else SearchConfig(starts=SCREEN_STARTS)
+    cfg = dataclasses.replace(base, seed=args.seed, **overrides)
     # Open the trace first: an unwritable path fails before the search runs.
     try:
         sink = open(args.trace, "w", encoding="utf-8") if args.trace else io.StringIO()

@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 MAX_RECORDED_FAILURES = 25
+SCREEN_STARTS = 8  # random ALS starts of the screen, unless a search is given --starts
+MAX_SAMPLE_ENTRIES_LOG2 = 26  # a counterexample search holds at most 2^26 sampled entries
 
 
 class UsageError(ValueError):
@@ -474,11 +476,13 @@ def _suite_border_scan(seed: int, budget: int | None) -> SuiteResult:
     return SuiteResult("border-scan", len(ds) + len(orders), failures, seed=seed, margins=margins)
 
 
-def _screen_ratios(stack: np.ndarray, bound: float, seed: int) -> np.ndarray:
-    """Ratios of a stack of dense tensors: one batched screen, then the full
-    solver, as one stack, on every sample within 1e-3 of the bound, so local
-    maxima cannot masquerade as counterexamples."""
-    screen = als_spectral_norm_batch(stack, IterConfig(starts=8, tol=1e-12, max_iters=400, seed=seed))
+def _screen_ratios(stack: np.ndarray, bound: float, seed: int,
+                   starts: int = SCREEN_STARTS) -> np.ndarray:
+    """Ratios of a stack of dense tensors: one batched screen with the given
+    random starts, then the full solver, as one stack, on every sample within
+    1e-3 of the bound, so local maxima cannot masquerade as counterexamples."""
+    screen = als_spectral_norm_batch(
+        stack, IterConfig(starts=starts, tol=1e-12, max_iters=400, seed=seed))
     fros = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
     ratios = np.array([res.value for res in screen]) / fros
     near = np.nonzero(ratios <= bound + 1e-3)[0]
@@ -631,16 +635,22 @@ def search_min_ratio(d: int, cfg: SearchConfig | None = None):
 def search_counterexample(d: int, cfg: SearchConfig | None = None) -> dict:
     """Sample nonsymmetric rank-two tensors of order d against the ratio bound.
 
-    Reports the minimal observed ratio and whether any sample fell below the
-    bound; for d >= 4 no expected answer is recorded.
+    cfg.budget is the sample count and cfg.starts the screen's random ALS
+    starts (SCREEN_STARTS by default).  Reports the minimal observed ratio
+    and whether any sample fell below the bound; for d >= 4 no expected
+    answer is recorded.  A request of more than 2^26 sampled entries
+    (budget * 2^d) is rejected before anything is allocated.
     """
     if d < 3:
         raise UsageError("counterexample search needs order d >= 3")
-    cfg = cfg or SearchConfig()
+    cfg = cfg or SearchConfig(starts=SCREEN_STARTS)
     samples = cfg.budget
+    if d > MAX_SAMPLE_ENTRIES_LOG2 or samples > 2 ** (MAX_SAMPLE_ENTRIES_LOG2 - d):
+        raise UsageError(f"counterexample search: budget * 2^d = {samples} * 2^{d} entries "
+                         f"exceeds the cap of 2^{MAX_SAMPLE_ENTRIES_LOG2}")
     bound = extremal_ratio(d)
     stack = _sample_rank_two_stack(rng_for(cfg.seed, 6, d), samples, d)
-    ratios = _screen_ratios(stack, bound, cfg.seed)
+    ratios = _screen_ratios(stack, bound, cfg.seed, cfg.starts)
     worst_idx = int(np.argmin(ratios))
     worst = float(ratios[worst_idx])
     worst_entries = stack[worst_idx].ravel().tolist()

@@ -5,7 +5,9 @@ a*u^d + b*d*u^(d-1)v, the squared spectral-to-Frobenius ratio objective with
 its gradient in the differentiable (unique-maximizer) case, the projection
 formula onto the tangent-like subspace spanned by u^(d-1) and v^(d-1), the
 critical-point equation with its parity root count, the case-analysis bound
-functions, and a multistart compass search for the infimum of the ratio.
+functions, and a multistart compass search for the infimum of the ratio:
+one coroutine per start, driven in rounds of one stacked chart_batch solve,
+then replayed in order against the shared budget.
 """
 
 from __future__ import annotations
@@ -521,10 +523,6 @@ def classify_case(p: RankTwoParams) -> CaseTag:
 _THETA_MIN = 3e-5       # evaluation floor: below it the drift family is flat to roundoff
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 @dataclass
 class MinRatioResult:
     """Best value found by min_ratio_search; an open lower estimate.
@@ -555,116 +553,21 @@ class MinRatioResult:
         }
 
 
-def _chart_or_none(x, d: int):
-    try:
-        return chart_batch([x], d)
-    except ValueError:
-        return None
+def _objective(xs, d: int) -> list:
+    """Squared ratio at each (alpha, beta, theta) point of xs, in one chart_batch solve.
 
-
-class _Objective:
-    """Budgeted evaluation of the squared ratio on the (alpha, beta, theta) chart.
-
-    One objective serves one start of the search.
-    Candidate sets are solved as one stack, and the budget is charged only for
-    the candidates a caller consumes, in order, as a one-at-a-time search
-    would have evaluated them.  budget is the run's cap, which _lockstep
-    updates before each step, and trace holds (charge index, record) pairs.
+    A point off the search's chart, or with a zero tensor, gets inf; a solve
+    error raises.
     """
-
-    def __init__(self, d: int, budget: int):
-        self.d = d
-        self.budget = budget
-        self.evals = 0
-        self.trace = []
-
-    def solve(self, xs) -> list:
-        """Uncharged squared ratio at each point of xs, in one stacked solve.
-
-        A point off the chart gets inf, and so does a point whose solve raises
-        ValueError: a failed stack is solved again row by row, so that one
-        degenerate row does not fail its neighbours.
-        """
-        out = [math.inf] * len(xs)
-        idx = [i for i, (alpha, beta, theta) in enumerate(xs)
-               if alpha > 0.0 and beta != 0.0 and _THETA_MIN <= theta <= math.pi / 2]
-        if not idx:
-            return out
-        try:
-            charts = chart_batch([xs[i] for i in idx], self.d)
-            rows = [(charts, j) for j in range(len(idx))]
-        except ValueError:
-            rows = [(_chart_or_none(xs[i], self.d), 0) for i in idx]
-        for i, (charts, j) in zip(idx, rows):
-            if charts is not None and charts[2][j] > 0.0:
-                out[i] = float(charts[0].values[j] ** 2 / charts[2][j])
-        return out
-
-    def walk(self, xs):
-        """Yield the points of xs the budget can still pay for, and receive their squared ratios.
-
-        Returns an iterator over those values that charges one evaluation per
-        value taken; taking one more raises _BudgetExhausted.  Callers write
-        ``for fc in (yield from f.walk(xs))``, and _lockstep does the solving.
-        """
-        paid = xs[:max(0, self.budget - self.evals)]
-        values = yield paid
-        return self._charge(values, len(paid) < len(xs))
-
-    def _charge(self, values, cut: bool):
-        for fc in values:
-            self.evals += 1
-            yield fc
-        if cut:
-            raise _BudgetExhausted
-
-    def record(self, start_id, fx, x):
-        """Trace an accepted point, tagged with the charge that paid for it."""
-        self.trace.append((self.evals, {"start": start_id, "F": fx, "alpha": float(x[0]),
-                                        "beta": float(x[1]), "theta": float(x[2])}))
-
-
-def _lockstep(fs, gens, budget: int) -> list:
-    """Run each generator on its objective in lockstep, one stacked solve per round.
-
-    gens come in the order a sequential search would run them, and each yields
-    point lists through its objective's walk.  Before each step, a run's cap is
-    the budget minus what the runs before it have charged so far.  Caps only
-    shrink, so a stack cut at a cap covers every point the sequential search
-    would solve, and the caller replays the runs against the real budget.
-    Returns each generator's return value, or the _BudgetExhausted it raised.
-    """
-    results = [None] * len(gens)
-    requests = {}
-
-    def step(i, entries):
-        fs[i].budget = budget - sum(f.evals for f in fs[:i])
-        try:
-            requests[i] = gens[i].send(entries)
-        except StopIteration as stop:
-            results[i] = stop.value
-        except _BudgetExhausted as exc:
-            results[i] = exc
-
-    for i in range(len(gens)):
-        step(i, None)
-    while requests:
-        live = sorted(requests)
-        solved = iter(fs[0].solve([x for i in live for x in requests[i]]))
-        for i in live:
-            step(i, list(itertools.islice(solved, len(requests.pop(i)))))
-    return results
-
-
-def _start(f: _Objective, x0, start_id):
-    """One start: its charged value at x0, then its compass search.
-
-    Returns the search's (x, F), or None when x0 is off the chart.
-    """
-    [f0] = yield from f.walk([x0])
-    if not math.isfinite(f0):
-        return None
-    return (yield from _coordinate_search(f, x0, f0, start_id))
+    out = [math.inf] * len(xs)
+    idx = [i for i, (alpha, beta, theta) in enumerate(xs)
+           if alpha > 0.0 and beta != 0.0 and _THETA_MIN <= theta <= math.pi / 2]
+    if idx:
+        maxima, _, fro_sq = chart_batch([xs[i] for i in idx], d)
+        for i, value, fro in zip(idx, maxima.values, fro_sq):
+            if fro > 0.0:
+                out[i] = float(value ** 2 / fro)
+    return out
 
 
 def _poll(x, h: float) -> list:
@@ -678,28 +581,69 @@ def _poll(x, h: float) -> list:
     return cands
 
 
-def _coordinate_search(f: _Objective, x, fx, start_id):
-    """Compass search with halving steps.
+def _start(x0, start_id, cap: int):
+    """One start as a coroutine: its value at x0, then a compass search with halving steps.
 
-    A poll's six candidates are one stack; after a move, the rest of the poll
-    is rebuilt around the new point and solved as a new stack.
+    It yields requests, the points its cap can still pay for, and is sent
+    their squared ratios.  Each value taken, in order up to the first one
+    accepted, charges one evaluation.  A poll's six candidates are one
+    request; after a move, the rest of the poll is rebuilt around the new
+    point.  Returns (n, F0, result, trace): n is the evaluations charged, or
+    cap + 1 when the cap cut the search; F0 is the value at x0; result is the
+    search's (x, F), or None when x0 is off the chart; trace holds a
+    (charge, record) pair per accepted point.
     """
-    x = np.asarray(x, dtype=float).copy()
+    trace = []
+    if cap < 1:
+        return cap + 1, math.inf, None, trace
+    [f0] = yield [x0]
+    n = 1
+    if not math.isfinite(f0):
+        return n, f0, None, trace
+    x, fx = np.asarray(x0, dtype=float).copy(), f0
     h = 0.1
     while h > 1e-12:
         moved = False
         k = 0
         while k < 6:
             cands = _poll(x, h)[k:]
-            for i, fc in enumerate((yield from f.walk(cands))):
+            values = yield cands[:cap - n]
+            for i, fc in enumerate(values):
+                n += 1
                 if fc < fx:
                     x, fx, moved = cands[i], fc, True
-                    f.record(start_id, fx, x)
+                    trace.append((n, {"start": start_id, "F": fx, "alpha": float(x[0]),
+                                      "beta": float(x[1]), "theta": float(x[2])}))
                     break
+            else:
+                if len(values) < len(cands):
+                    return cap + 1, f0, None, trace
             k += i + 1
         if not moved:
             h *= 0.5
-    return x, fx
+    return n, f0, (x, fx), trace
+
+
+def _drive(runs, d: int) -> list:
+    """Run the coroutines in rounds, each round one _objective solve of every
+    live request stacked in order; returns their return values."""
+    results = [None] * len(runs)
+    requests = {}
+
+    def step(i, values):
+        try:
+            requests[i] = runs[i].send(values)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(runs)):
+        step(i, None)
+    while requests:
+        live = sorted(requests)
+        values = iter(_objective([x for i in live for x in requests[i]], d))
+        for i in live:
+            step(i, list(itertools.islice(values, len(requests.pop(i)))))
+    return results
 
 
 def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
@@ -713,9 +657,11 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
     claim of attainment); under the sharp lower bound the result stays above
     (1 - 1/d)^(d-1).
 
-    The starts share one budget in order.  The six balanced starts run in
-    lockstep, and each random start runs alone; the result is that of running
-    every start one after another.
+    The starts share one budget in order.  Each start is a coroutine capped
+    by the budget its group starts with; the six balanced starts are one
+    group, solved as one stack per round, and each random start runs alone.
+    Replaying the starts in order gives the result of running every start one
+    after another.
     """
     if d < 3:
         raise ValueError("infimum search needs order d >= 3")
@@ -738,23 +684,20 @@ def min_ratio_search(d: int, cfg: SearchConfig | None = None) -> MinRatioResult:
     # later ones would mostly solve polls that the budget never reaches.
     groups = [list(enumerate(starts[:6]))] + [[(i, x0)] for i, x0 in enumerate(starts[6:], 6)]
     for group in groups:
-        fs = [_Objective(d, budget) for _ in group]
-        gens = [_start(f, x0, i) for f, (i, x0) in zip(fs, group)]
-        # Replay the runs in order against the real remaining budget.
-        for f, (_, x0), result in zip(fs, group, _lockstep(fs, gens, budget - spent)):
+        runs = _drive([_start(x0, i, budget - spent) for i, x0 in group], d)
+        # Replay the runs in order against the real budget.  A run's real cap,
+        # what the runs before it left, is at most the cap it ran with, and
+        # its path depends on its cap only where the cap cuts it.
+        for (_, x0), (n, f0, result, recs) in zip(group, runs):
             cap = budget - spent
-            # A start can finish past its real cap when the starts before it
-            # charged more after it finished.
-            exhausted = isinstance(result, _BudgetExhausted) or f.evals > cap
-            trace += [rec for k, rec in f.trace if k <= cap]
+            exhausted = n > cap
+            trace += [rec for k, rec in recs if k <= cap]
             if exhausted:
                 if best_x is None and cap > 0:
                     # The budget ran out inside the first search: report its start.
-                    f0 = f.solve([x0])[0]
-                    if math.isfinite(f0):
-                        best_x, best_f = x0, f0
+                    best_x, best_f = x0, f0
                 break
-            spent += f.evals
+            spent += n
             if result is not None and result[1] < best_f:
                 best_x, best_f = result
         if exhausted:

@@ -685,6 +685,50 @@ def test_cli_search_fuzz_exits_cleanly(d, budget, starts, seed):
         assert code == 2 and out.getvalue() == ""
 
 
+def _search(argv):
+    """(exit code, stdout, stderr) of an in-process ``search`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["search", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_counterexample_search_reads_starts():
+    # --starts is the screen's random ALS start count; without it the screen
+    # keeps 8 starts, so the default output equals --starts 8.
+    argv = ["counterexample-nonsym", "--d", "4", "--budget", "20"]
+    default, eight, one = (_search(argv + extra) for extra in ([], ["--starts", "8"],
+                                                                ["--starts", "1"]))
+    assert default == eight and default[0] == one[0] == 0
+    assert json.loads(one[1])["min_ratio_observed"] != json.loads(eight[1])["min_ratio_observed"]
+
+
+class _Sampled(Exception):
+    pass
+
+
+def test_counterexample_search_caps_the_sample_stack(monkeypatch):
+    # More than 2^26 sampled entries (budget * 2^d) exit 2 before anything
+    # is sampled; d = 12 at the default budget and requests at the cap pass.
+    sampled = []
+
+    def sampler(rng, m, d):
+        sampled.append((m, d))
+        raise _Sampled
+
+    monkeypatch.setattr(harness, "_sample_rank_two_stack", sampler)
+    for d, budget in [(30, 1), (27, 1), (12, 16_385), (3, 2**23 + 1)]:
+        code, out, err = _search(["counterexample-nonsym", f"--d={d}", f"--budget={budget}"])
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert sampled == []
+    with pytest.raises(_Sampled):
+        main(["search", "counterexample-nonsym", "--d", "12"])
+    for d, budget in [(12, 16_384), (26, 1), (3, 2**23)]:
+        with pytest.raises(_Sampled):
+            search_counterexample(d, SearchConfig(budget=budget))
+    assert sampled == [(10_000, 12), (16_384, 12), (1, 26), (2**23, 3)]
+
+
 def _report(argv):
     """(exit code, stdout, stderr) of an in-process ``report`` call."""
     out, err = io.StringIO(), io.StringIO()

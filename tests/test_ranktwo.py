@@ -430,6 +430,10 @@ def test_min_ratio_search_never_below_bound():
         min_ratio_search(2)
 
 
+class _BudgetExhausted(Exception):
+    pass
+
+
 class _ObjectiveReference:
     """The one-candidate-at-a-time objective: one solve and one charge per call."""
 
@@ -441,7 +445,7 @@ class _ObjectiveReference:
     def __call__(self, x):
         alpha, beta, theta = x
         if self.evals >= self.budget:
-            raise ranktwo._BudgetExhausted
+            raise _BudgetExhausted
         self.evals += 1
         if not (alpha > 0.0) or beta == 0.0 or not ranktwo._THETA_MIN <= theta <= math.pi / 2:
             return math.inf
@@ -502,7 +506,7 @@ def _min_ratio_search_reference(d, cfg, ended=None):
             x, fx = _coordinate_search_reference(f, x0, f0, trace, where)
             if fx < best_f:
                 best_x, best_f = x, fx
-    except ranktwo._BudgetExhausted:
+    except _BudgetExhausted:
         exhausted = True
         if ended is not None:
             ended.append(where)
@@ -516,28 +520,6 @@ def _min_ratio_search_reference(d, cfg, ended=None):
     return ranktwo.MinRatioResult(value=float(best_f), ratio=math.sqrt(best_f), alpha=alpha,
                                   beta=beta, theta=theta, order=d, params=params,
                                   evaluations=f.evals, budget_exhausted=exhausted, trace=trace)
-
-
-def _stack_ends(monkeypatch):
-    """Record (stack size, entries taken) of every stack a run's cap cut short."""
-    ends = []
-    walk = ranktwo._Objective.walk
-
-    def recording(entries, size):
-        taken = 0
-        try:
-            for entry in entries:
-                taken += 1
-                yield entry
-        except ranktwo._BudgetExhausted:
-            ends.append((size, taken))
-            raise
-
-    def recording_walk(self, xs):
-        return recording((yield from walk(self, xs)), len(xs))
-
-    monkeypatch.setattr(ranktwo._Objective, "walk", recording_walk)
-    return ends
 
 
 def _assert_same_search(res, ref):
@@ -556,15 +538,17 @@ def test_min_ratio_search_matches_sequential_reference():
     # 349, 319, 367, 325, 313 and 337 evaluations, and the first random start
     # (seed 3) does not finish within 40,000, so the budgets below end inside
     # each balanced start and the first random start.  At 1,600 start 4
-    # finishes in lockstep while start 3 is still charging, and the replay
-    # finds it over its real cap.
+    # finishes in its group while start 3 is still charging, and the replay
+    # finds it over its real cap.  At 349 and 668 the budget ends exactly at
+    # the end of start 0 and of start 1, so the next start gets no points;
+    # at 2,010 the first random start starts with nothing left.
     # Budgets up to 333 end in the first polls, and the default budget
     # reaches the random starts.  With starts=1 (8 starts) at d = 4 and
     # seed 4 every start finishes, after 2,906 evaluations.
     cases = [(d, SearchConfig(starts=16, budget=budget, seed=d))
              for d in (3, 4, 5, 6) for budget in (1, 7, 50, 333, 2000)]
     cases += [(3, SearchConfig(starts=16, budget=budget, seed=3))
-              for budget in (500, 850, 1200, 1600, 1850, 3600)]
+              for budget in (349, 500, 668, 850, 1200, 1600, 1850, 2010, 3600)]
     cases += [(3, SearchConfig(budget=10_000, seed=3)),
               (4, SearchConfig(starts=64, budget=2500, seed=700100)),
               (4, SearchConfig(starts=1, budget=12_000, seed=4))]
@@ -591,25 +575,30 @@ def test_min_ratio_search_stacks_the_balanced_starts(monkeypatch):
 
 def test_descend_matches_sequential_reference(monkeypatch):
     # Compass searches from starts off the alpha = beta kink, each run alone
-    # through _lockstep, with budgets that end at the first value, before a
-    # poll stack or inside one.
-    ends = _stack_ends(monkeypatch)
+    # through _drive, with budgets that end at the first value, before a
+    # poll stack or inside one.  A cut run's last request is empty when the
+    # budget ends before a stack, and holds the paid points when it ends
+    # inside one.
+    sizes = []
+    objective = ranktwo._objective
+    monkeypatch.setattr(ranktwo, "_objective", lambda xs, d: sizes.append(len(xs)) or objective(xs, d))
+    ends_inside = []
     for d in (3, 4, 5, 6):
         for x0 in [(1.5, 0.5, 0.7), (2.0, -0.8, 1.2)]:
             for budget in (2, 17, 50, 333, 600):
-                f = ranktwo._Objective(d, budget)
-                [result] = ranktwo._lockstep([f], [ranktwo._start(f, x0, 0)], budget)
-                out = [None if isinstance(result, ranktwo._BudgetExhausted)
-                       else (result[0].tolist(), result[1]),
-                       f.evals, json.dumps([rec for _, rec in f.trace])]
+                sizes.clear()
+                [(n, _, result, recs)] = ranktwo._drive([ranktwo._start(x0, 0, budget)], d)
+                out = [None if n > budget else (result[0].tolist(), result[1]),
+                       min(n, budget), json.dumps([rec for _, rec in recs])]
                 f, trace = _ObjectiveReference(d, budget), []
                 try:
                     x, fx = _coordinate_search_reference(f, x0, f(x0), trace, 0)
                     ref = (x.tolist(), fx)
-                except ranktwo._BudgetExhausted:
+                except _BudgetExhausted:
                     ref = None
                 assert out == [ref, f.evals, json.dumps(trace)]
-    assert any(size <= 6 and 0 < taken for size, taken in ends)
+                ends_inside.append(n > budget and sizes[-1] > 0)
+    assert any(ends_inside)
 
 
 def test_cli_search_matches_sequential_reference(monkeypatch, tmp_path, capsys):
@@ -678,53 +667,14 @@ def test_chart_batch_mixed_orders_equal_per_order_stacks():
 
 
 def test_objective_stack_isolates_failed_rows():
-    # The guard rows get inf; a NaN beta fails the stacked solve, which is
-    # then solved row by row, so the other rows keep their values.
+    # Rows off the search's chart (alpha <= 0, beta = 0, theta below the
+    # floor or past pi/2) get inf; the other rows keep their values.
     xs = [(1.3, 0.7, 0.4), (0.0, 0.5, 0.4), (1.2, 0.0, 0.4), (1.2, 0.5, 1e-6),
-          (1.2, 0.5, 2.0), (1.2, math.nan, 0.4), (0.9, -1.1, 1.0)]
-    f = ranktwo._Objective(4, 100)
-    with np.errstate(all="ignore"):
-        values = f.solve(xs)
-    assert f.evals == 0
-    expected = [_ObjectiveReference(4, 1)(x) if i in (0, 6) else math.inf for i, x in enumerate(xs)]
+          (1.2, 0.5, 2.0), (0.9, -1.1, 1.0)]
+    values = ranktwo._objective(xs, 4)
+    expected = [_ObjectiveReference(4, 1)(x) if i in (0, 5) else math.inf for i, x in enumerate(xs)]
     assert values == expected
-    assert all(math.isfinite(values[i]) for i in (0, 6))
-
-
-def _paid_and_charge(f, walk):
-    """Drive one walk as _lockstep does: (points it asked for, its charging iterator)."""
-    try:
-        paid = next(walk)
-    except StopIteration as stop:
-        return [], stop.value
-    try:
-        walk.send(f.solve(paid))
-    except StopIteration as stop:
-        return paid, stop.value
-
-
-def test_objective_walk_charges_what_it_yields():
-    f = ranktwo._Objective(3, 5)
-    xs = [(1.3, 0.7, 0.4 + 0.1 * k) for k in range(4)]
-    expected = [_ObjectiveReference(3, 1)(x) for x in xs]
-    paid, charge = _paid_and_charge(f, f.walk(xs))
-    assert paid == xs and f.evals == 0
-    next(charge)
-    assert f.evals == 1
-    # Four of the eight points are paid for; taking a fifth stops the budget.
-    paid, charge = _paid_and_charge(f, f.walk(xs + xs))
-    assert paid == xs
-    taken = []
-    with pytest.raises(ranktwo._BudgetExhausted):
-        for fc in charge:
-            taken.append(fc)
-    assert taken == expected and f.evals == 5
-    # With nothing left to pay for, the walk asks for no points.
-    paid, charge = _paid_and_charge(f, f.walk(xs[:1]))
-    assert paid == []
-    with pytest.raises(ranktwo._BudgetExhausted):
-        next(charge)
-    assert f.evals == 5
+    assert all(math.isfinite(values[i]) for i in (0, 5))
 
 
 def test_border_ratio_scan():
