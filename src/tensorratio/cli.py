@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -17,6 +16,7 @@ from .config import IterConfig, SearchConfig
 from .harness import (
     SCREEN_STARTS,
     SUITES,
+    SWEEPS,
     UsageError,
     parse_tensor_spec,
     report_for,
@@ -58,11 +58,12 @@ def _checked(convert, ok, what: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
 
 
 _FLAGS = {
-    "--seed": dict(type=int, default=0, help="master seed (default 0)"),
+    "--seed": dict(type=_seed, default=0, help="master seed (default 0)"),
     "--budget": dict(type=_positive_int, default=None,
                      help="samples / evaluations per case group (suite-specific default)"),
     "--tol": dict(type=_tolerance, default=None,
@@ -74,6 +75,11 @@ _FLAGS = {
     "--max-iters": dict(type=_positive_int, default=None,
                         help="per-start iteration cap for the iterative solvers"),
 }
+
+
+# Each sweep parameter once, in table order; a kind that does not read one
+# rejects it.
+_SWEEP_PARAMS = tuple(dict.fromkeys(name for _, params in SWEEPS.values() for name in params))
 
 
 def _subparser(sub, name, flags, **kw):
@@ -103,12 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}, all")
 
     p = _subparser(sub, "sweep", ("--out",), help="emit a parameter sweep as CSV")
-    p.add_argument("kind", choices=("diff_t", "border_ab", "limit_d"))
-    p.add_argument("--d", type=int, default=4, help="tensor order for diff_t/border_ab")
-    p.add_argument("--steps", type=int, default=101)
-    p.add_argument("--tmin", type=float, default=1e-4, help="diff_t lower grid end")
-    p.add_argument("--dmin", type=int, default=3, help="limit_d first order")
-    p.add_argument("--dmax", type=int, default=40, help="limit_d last order")
+    p.add_argument("kind", choices=tuple(SWEEPS))
+    for name in _SWEEP_PARAMS:
+        readers = {kind: params[name] for kind, (_, params) in SWEEPS.items() if name in params}
+        p.add_argument(f"--{name}", type=type(next(iter(readers.values()))),
+                       help="; ".join(f"{kind} (default {v})" for kind, v in readers.items()))
 
     p = _subparser(sub, "search", ("--seed", "--budget", "--starts"),
                    help="infimum search or counterexample sampling",
@@ -169,10 +174,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    header, rows = sweep_rows(
-        args.kind, d=args.d, steps=args.steps, tmin=args.tmin,
-        dmin=args.dmin, dmax=args.dmax,
-    )
+    given = {name: getattr(args, name) for name in _SWEEP_PARAMS
+             if getattr(args, name) is not None}
+    header, rows = sweep_rows(args.kind, **given)
     if args.out == "json":
         _emit_json([dict(zip(header, row)) for row in rows], sys.stdout)
     else:
@@ -185,17 +189,21 @@ def _cmd_search(args) -> int:
                  if getattr(args, name) is not None}
     base = SearchConfig() if args.target == "min-ratio-sym" else SearchConfig(starts=SCREEN_STARTS)
     cfg = dataclasses.replace(base, seed=args.seed, **overrides)
-    # Open the trace first: an unwritable path fails before the search runs.
-    try:
-        sink = open(args.trace, "w", encoding="utf-8") if args.trace else io.StringIO()
-    except OSError as exc:
-        raise UsageError(f"--trace: {exc}") from None
-    with sink:
-        if args.target == "min-ratio-sym":
+    if args.target == "counterexample-nonsym":
+        if args.trace is not None:
+            raise UsageError(f"--trace: {args.target} writes no trace")
+        payload = search_counterexample(args.d, cfg)
+    elif args.trace is None:
+        payload, _ = search_min_ratio(args.d, cfg)
+    else:
+        # Open the trace first: an unwritable path fails before the search runs.
+        try:
+            sink = open(args.trace, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"--trace: {exc}") from None
+        with sink:
             payload, trace = search_min_ratio(args.d, cfg)
-        else:
-            payload, trace = search_counterexample(args.d, cfg), []
-        sink.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in trace)
+            sink.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in trace)
     _emit_json(payload, sys.stdout)
     return 0
 

@@ -266,17 +266,27 @@ def sample_rank_two_charts(rng: np.random.Generator, m: int, case: str | None = 
 
 def _sample_rank_two_stack(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
     """Stack of m random rank-two tensors u1 x ... x ud + v1 x ... x vd of
-    order d over R^2.
+    order d >= 2 over R^2.
 
     The 2d unit factors are drawn as one (2, d, m, 2) array, in the order
-    u1..ud, v1..vd, each an (m, 2) block of the stream.
+    u1..ud, v1..vd, each an (m, 2) block of the stream.  The u term is built
+    first and the v term added into it, its last mode one component at a
+    time, so at most the result and two halves of it are held at once.
     """
     uv = rng.standard_normal((2, d, m, 2))
     uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
-    stack = uv[:, 0]
-    for mode in range(1, d):
-        stack = stack[..., None] * uv[:, mode].reshape((2, m) + (1,) * mode + (2,))
-    return stack[0] + stack[1]
+
+    def product(factors, modes):
+        out = factors[0]
+        for mode in range(1, modes):
+            out = out[..., None] * factors[mode].reshape((m,) + (1,) * mode + (2,))
+        return out
+
+    stack = product(uv[0], d)
+    head = product(uv[1], d - 1)
+    for j in range(2):
+        stack[..., j] += head * uv[1, d - 1, :, j].reshape((m,) + (1,) * (d - 1))
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -585,15 +595,26 @@ def _sweep_limit_d(dmin: int, dmax: int):
     return ["d", "ratio", "distance", "ratio_limit", "distance_limit"], rows
 
 
+# Each sweep kind with its parameters and their defaults; the CLI's sweep
+# flags are these names.
+SWEEPS = {
+    "diff_t": (_sweep_diff_t, {"d": 4, "steps": 101, "tmin": 1e-4}),
+    "border_ab": (_sweep_border_ab, {"d": 4, "steps": 101}),
+    "limit_d": (_sweep_limit_d, {"dmin": 3, "dmax": 40}),
+}
+
+
 def sweep_rows(kind: str, **kw):
-    """Header and rows for a named sweep; see the CLI for the parameter set."""
-    if kind == "diff_t":
-        return _sweep_diff_t(kw.get("d", 4), kw.get("steps", 101), kw.get("tmin", 1e-4))
-    if kind == "border_ab":
-        return _sweep_border_ab(kw.get("d", 3), kw.get("steps", 101))
-    if kind == "limit_d":
-        return _sweep_limit_d(kw.get("dmin", 3), kw.get("dmax", 40))
-    raise UsageError(f"unknown sweep kind {kind!r}")
+    """Header and rows for a named sweep.  kw sets any of the kind's
+    parameters in SWEEPS; a parameter the kind does not read is a
+    UsageError."""
+    if kind not in SWEEPS:
+        raise UsageError(f"unknown sweep kind {kind!r}")
+    sweep, params = SWEEPS[kind]
+    if unread := sorted(set(kw) - set(params)):
+        raise UsageError(f"sweep {kind} does not read {', '.join(unread)}; "
+                         f"it reads {', '.join(params)}")
+    return sweep(**(params | kw))
 
 
 # ---------------------------------------------------------------------------

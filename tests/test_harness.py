@@ -199,6 +199,64 @@ _CASES = {
 }
 
 
+class _Scan:
+    """A feasible-region scan result that fails every kkt-region check."""
+    value, boundary, criterion_at_argmax = 3.0, False, 0.5
+
+
+def _half_values(rows, d):
+    maxima, one_minus_cd, fro_sq = ranktwo.chart_batch(rows, d)
+    return maxima._replace(values=maxima.values / 2), one_minus_cd, fro_sq
+
+
+def _counts_plus_one(rows, d):
+    maxima, one_minus_cd, fro_sq = ranktwo.chart_batch(rows, d)
+    return maxima._replace(counts=maxima.counts + 1), one_minus_cd, fro_sq
+
+
+# Per suite: the names it solves with, patched so that every check fails; the
+# budget; the number of failures at that budget; and the keys of each kind of
+# failure record.
+_FAILING = {
+    "thm1-bound": ({"extremal_ratio_sq": lambda d: 2.0}, 10, 40,
+                   [{"d", "F", "bound", "alpha", "beta", "uv"}]),
+    "prop-sum": ({"chart_batch": _half_values}, 10, 60, [{"d", "F", "alpha", "beta"}]),
+    "prop-equal": ({"extremal_ratio_sq": lambda d: 2.0, "equal_diff_ratio_lb": lambda d, t: 0.0},
+                   5, 42, [{"d", "t", "F", "bound"}, {"d", "check"}]),
+    "lemma-roots": ({"critical_equation_roots_batch":
+                     lambda rows, ds: (None, ranktwo.critical_equation_roots_batch(rows, ds)[1] + 1)},
+                    10, 60, [{"d", "a", "b", "gamma", "count", "expected"}]),
+    "prop-unique": ({"chart_batch": _counts_plus_one}, 10, 50,
+                    [{"d", "count", "alpha", "beta", "uv"}]),
+    "border-scan": ({"extremal_ratio": lambda d: 2.0}, 10, 60,
+                    [{"d", "ratio", "check", "bound"}, {"d", "ratio", "a", "lb_interior", "lb_axis"}]),
+    "thm3-bound": ({"_screen_ratios": lambda stack, bound, seed: np.zeros(len(stack)),
+                    "ratio_3": lambda tensor, cfg: 0.5}, 5, 7,
+                   [{"ratio", "entries"}, {"check", "ratio"}, {"check", "distance"}]),
+    "kkt-region": ({"feasible_max_scan_batch": lambda cfg, margins: (_Scan, _Scan)}, 1, 3,
+                   [{"check", "value"}, {"check", "criterion"}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_failure_paths(name, monkeypatch, capsys):
+    # Every check of the suite fails: each failure kind is recorded with its
+    # keys, the records stop at the cap, and the result is JSON and exit 1.
+    patches, budget, failing, kinds = _FAILING[name]
+    for attr, fake in patches.items():
+        monkeypatch.setattr(harness, attr, fake)
+    res = run_suite(name, seed=0, budget=budget)
+    assert not res.passed
+    assert sorted(map(sorted, {frozenset(r) for r in res.failures})) == sorted(map(sorted, kinds))
+    assert len(res.failures) == min(failing, harness.MAX_RECORDED_FAILURES)
+    assert json.loads(json.dumps(res.to_json_dict()))["failures"] == res.failures
+    monkeypatch.setattr(harness, "MAX_RECORDED_FAILURES", 2)
+    assert len(run_suite(name, seed=0, budget=budget).failures) == 2
+    capsys.readouterr()
+    assert main(["verify", name, "--budget", str(budget)]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
 def test_suite_case_counts_are_exact():
     for seed in (0, 13):
         for name, count in _CASES.items():
@@ -344,6 +402,64 @@ def test_sweep_rows():
         sweep_rows("nope")
     with pytest.raises(UsageError):
         sweep_rows("diff_t", d=4, steps=10, tmin=0.0)
+
+
+def _cli(argv):
+    """(exit code, stdout, stderr) of an in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_sweep_and_search_flags_are_read(tmp_path):
+    # A flag that the sweep kind or search target does not read is a usage
+    # error, not ignored: limit_d once printed d = 3..5 for --d 9 --dmax 5.
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("kept\n")
+    for argv in (["sweep", "limit_d", "--d", "9", "--dmax", "5"],
+                 ["sweep", "diff_t", "--dmax", "5"], ["sweep", "border_ab", "--tmin", "0.1"],
+                 ["search", "counterexample-nonsym", "--budget", "5", "--trace", str(trace)]):
+        assert _cli(argv)[:2] == (2, ""), argv
+    assert trace.read_text() == "kept\n"
+    with pytest.raises(UsageError):
+        sweep_rows("limit_d", d=9)
+
+
+def test_sweep_defaults_are_the_cli_defaults():
+    # One table holds the defaults: the library call without parameters
+    # prints what the CLI prints without flags.
+    for kind in harness.SWEEPS:
+        header, rows = sweep_rows(kind)
+        csv = io.StringIO()
+        cli._emit_csv(header, rows, csv)
+        assert _cli(["sweep", kind])[:2] == (0, csv.getvalue()), kind
+    # --out json holds the CSV's rows.
+    code, text, _ = _cli(["sweep", "diff_t", "--d", "5", "--steps", "7", "--out", "json"])
+    header, *rows = _cli(["sweep", "diff_t", "--d", "5", "--steps", "7"])[1].splitlines()
+    assert code == 0
+    assert json.loads(text) == [dict(zip(header.split(","), map(float, row.split(","))))
+                                for row in rows]
+
+
+def _joint_rank_two_stack(rng, m, d):
+    """Both terms' order-d products as one (2, m, 2, ..., 2) array, then
+    their sum: the reference construction of _sample_rank_two_stack."""
+    uv = rng.standard_normal((2, d, m, 2))
+    uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
+    stack = uv[:, 0]
+    for mode in range(1, d):
+        stack = stack[..., None] * uv[:, mode].reshape((2, m) + (1,) * mode + (2,))
+    return stack[0] + stack[1]
+
+
+def test_rank_two_stack_matches_the_joint_construction():
+    for d in (2, 3, 4, 5, 8):
+        for m in (1, 7, 300):
+            got = harness._sample_rank_two_stack(rng_for(3, 6, d), m, d)
+            want = _joint_rank_two_stack(rng_for(3, 6, d), m, d)
+            assert got.shape == want.shape == (m,) + (2,) * d
+            assert got.tobytes() == want.tobytes(), (d, m)
 
 
 def test_search_min_ratio_report():
@@ -541,6 +657,12 @@ def test_cli_exit_codes(capsys, monkeypatch, tmp_path):
                   ["search", "min-ratio-sym", "--budget", "0"], ["verify", "all", "--budget", "x"]):
         assert main(flags) == 2
     assert main(["search", "min-ratio-sym", "--d", "2"]) == 2
+    # a negative seed is a usage error for every command that reads --seed
+    capsys.readouterr()
+    for flags in (["verify", "prop-sum", "--budget", "5", "--seed", "-1"],
+                  ["search", "counterexample-nonsym", "--d", "3", "--budget", "5", "--seed", "-1"],
+                  ["search", "min-ratio-sym", "--seed", "-1"], ["report", "wd:3", "--seed", "-1"]):
+        assert (main(flags), capsys.readouterr().out) == (2, ""), flags
     # iteration flags out of range: --starts and --max-iters >= 1, --tol finite and >= 0
     for flags in (["report", "wd:3", "--starts", "-1"], ["report", "wd:3", "--starts", "0"],
                   ["report", "wd:3", "--max-iters", "-2"], ["report", "wd:3", "--tol", "nan"],
@@ -687,10 +809,7 @@ def test_cli_search_fuzz_exits_cleanly(d, budget, starts, seed):
 
 def _search(argv):
     """(exit code, stdout, stderr) of an in-process ``search`` call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["search", *argv])
-    return code, out.getvalue(), err.getvalue()
+    return _cli(["search", *argv])
 
 
 def test_cli_counterexample_search_reads_starts():
@@ -731,10 +850,7 @@ def test_counterexample_search_caps_the_sample_stack(monkeypatch):
 
 def _report(argv):
     """(exit code, stdout, stderr) of an in-process ``report`` call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["report", *argv])
-    return code, out.getvalue(), err.getvalue()
+    return _cli(["report", *argv])
 
 
 def test_cli_report_builtin_order_must_be_integral():

@@ -96,8 +96,10 @@ def test_far_roots_without_overflow():
             assert len(ms.points) == 2
             assert np.allclose(ms.points, [[0.0, 1.0], [1.0, 0.0]], rtol=0, atol=1e-14)
         # ranktwo:1,0.5,0.1,300: the normalized leading coefficient of the
-        # tangential polynomial is ~2e-310, so its companion matrix overflows;
-        # the seeds come from the reversed polynomial instead.
+        # tangential polynomial is ~2e-310, below eps of the next one, so it
+        # splits off one far seed near -2e299; the other seeds come from the
+        # companion of the remaining degree-299 polynomial, which does not
+        # overflow.  The maximizer stays the only one, at e1.
         u, v = np.array([1.0, 0.0]), np.array([0.1, math.sqrt(0.99)])
         c = binary_coeffs(make_rank_two(canonical_params(1.0, 0.5, u, v, 300), 300))
         ms = spectral_norm_binary_coeffs(c)
@@ -145,9 +147,9 @@ def test_denormal_tail_becomes_a_zero_root():
 
 
 def test_both_companions_overflow():
-    # First and last coefficients below ~1e-308 of the largest overflow the
-    # companion and the reversed companion; such a row is seeded from a
-    # rescaled variable, and the other rows of its stack come back unchanged.
+    # Subnormal end coefficients split off one extreme seed each: the front
+    # one, near -1e320, overflows and is dropped, the back one is the
+    # subnormal root.  A subnormal end next to a zero is not split off.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert real_roots([1e-320, 1.0, 1e-320]) == [-1e-320]
@@ -158,19 +160,46 @@ def test_both_companions_overflow():
         assert len(roots) == 3
         assert roots[0] == pytest.approx(-5e-321, rel=1e-2)
         assert roots[1:] == pytest.approx([1.0, 2.0], rel=1e-14)
+        # The middle polynomial 1e-320 x^2 + 1 of row 1 overflows its
+        # companion; the reversed companion is finite, and its eigenvalues
+        # +-1e-160 i add no real root.  The other rows of the stack come back
+        # unchanged.
         C = np.array([[0.0, 1.0, -3.0, 2.0], [1e-320, 0.0, 1.0, 1e-320], [1.0, 0.0, -2.0, 0.0],
                       [1e-320, 1.0, -3.0, 1e-320]])
         out = _split(real_roots_batch(C))
         assert out[0] == real_roots([1.0, -3.0, 2.0])
         assert out[2] == real_roots([1.0, 0.0, -2.0, 0.0])
         assert out[1] == real_roots(C[1]) and out[3] == real_roots(C[3])
+        assert real_roots([1e-320, 0.0, 1.0, 1e-320]) == [-1e-320]
         assert out[3] == pytest.approx([0.0, 3.0], abs=1e-14)
+        # 1e-320 x^4 - x^2 + 1e-320 has no split end and overflows both
+        # companions; it is seeded from p(2^s y).  Its roots are +-1e160 and
+        # +-1e-160, and the last two are 0 at the merge scale max(1, |x|).
+        far = 1.0 / math.sqrt(1e-320)
+        assert real_roots([1e-320, 0.0, -1.0, 0.0, 1e-320]) == pytest.approx(
+            [-far, 0.0, far], rel=1e-14, abs=1e-150)
+
+
+def test_reversed_companion_keeps_the_moderate_roots():
+    # A subnormal leading coefficient next to a zero is not split off, and
+    # the companion overflows.  Rescaling the variable keeps the companion
+    # finite but flushes the constant term of a long row to zero, and its
+    # large entries swamp the small roots of a short one; the reversed
+    # companion has entries of at most 1 and keeps them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert real_roots([1e-320, 0.0, 1.0, -3.0, 2.0]) == pytest.approx([1.0, 2.0], rel=1e-14)
+        # 1e-320 x^70 + x^68 - 1: its real roots are +-1 (the others lie near
+        # +-1e160 i).  Far points also pass the residual test here, where
+        # x^-70 p(x) is about x^-2, so only the roots below 10 are checked.
+        roots = real_roots([1e-320, 0.0, 1.0] + [0.0] * 67 + [-1.0])
+        assert [x for x in roots if abs(x) < 10.0] == pytest.approx([-1.0, 1.0], rel=1e-14)
 
 
 def test_root_beyond_float_range_is_dropped():
     # 2e-311 x + 1 has its root at -5e310, past the largest float: the
-    # reversed companion's eigenvalue -2e-311 has no finite reciprocal, and
-    # the row reports no root instead of overflowing.
+    # leading coefficient is split off with the seed -1 / 2e-311, which
+    # overflows and is dropped, so the row reports no root and no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert real_roots([2e-311, 1.0]) == []
