@@ -490,12 +490,19 @@ def _screen_ratios(stack: np.ndarray, bound: float, seed: int,
                    starts: int = SCREEN_STARTS) -> np.ndarray:
     """Ratios of a stack of dense tensors: one batched screen with the given
     random starts, then the full solver, as one stack, on every sample within
-    1e-3 of the bound, so local maxima cannot masquerade as counterexamples."""
+    1e-3 of the bound, so local maxima cannot masquerade as counterexamples.
+
+    A sample whose screen ratio a lower bound puts above bound + 1e-3 and
+    above a converged ratio leaves the screen with that bound: the minimum,
+    its row and every ratio at or below bound + 1e-3 are those of a screen
+    run to convergence.
+    """
+    near_bound = bound + 1e-3
     screen = als_spectral_norm_batch(
-        stack, IterConfig(starts=starts, tol=1e-12, max_iters=400, seed=seed))
+        stack, IterConfig(starts=starts, tol=1e-12, max_iters=400, seed=seed), near_bound)
     fros = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
     ratios = np.array([res.value for res in screen]) / fros
-    near = np.nonzero(ratios <= bound + 1e-3)[0]
+    near = np.nonzero(ratios <= near_bound)[0]
     full = als_spectral_norm_batch(stack[near], dataclasses.replace(ALS_CONFIG, seed=seed))
     ratios[near] = np.maximum(ratios[near], np.array([res.value for res in full]) / fros[near])
     return ratios
@@ -508,8 +515,13 @@ def _suite_thm3_bound(seed: int, budget: int | None) -> SuiteResult:
     stack = stack[hyperdet_stack(stack) > 0.0]
     ratios = _screen_ratios(stack, 2.0 / 3.0, seed)
     cases = int(len(stack))
-    for idx in np.nonzero(~(ratios > 2.0 / 3.0 - 1e-9))[0]:
-        _record(failures, ratio=float(ratios[idx]), entries=stack[idx].ravel().tolist())
+
+    def witness(i):
+        return dict(ratio=float(ratios[i]), entries=stack[i].ravel().tolist())
+
+    for i in np.nonzero(~(ratios > 2.0 / 3.0 - 1e-9))[0].tolist():
+        _record(failures, **witness(i))
+    margins = _margins(np.full(len(stack), 3), ratios - 2.0 / 3.0, witness)
 
     w3 = extremal_tensor3()
     r = ratio_3(w3, dataclasses.replace(ALS_CONFIG, seed=seed))
@@ -519,7 +531,7 @@ def _suite_thm3_bound(seed: int, budget: int | None) -> SuiteResult:
     dist = math.sqrt(max(1.0 - r * r, 0.0))
     if abs(dist - math.sqrt(5.0) / 3.0) > 1e-8:
         _record(failures, check="extremal 2x2x2 distance", distance=dist)
-    return SuiteResult("thm3-bound", cases, failures, seed=seed)
+    return SuiteResult("thm3-bound", cases, failures, seed=seed, margins=margins)
 
 
 def _suite_kkt_region(seed: int, budget: int | None) -> SuiteResult:

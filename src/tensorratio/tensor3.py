@@ -93,13 +93,20 @@ class ALSResult:
     sweeps: int
 
 
-def _als(T: np.ndarray, cfg: IterConfig | None) -> list:
+def _als(T: np.ndarray, cfg: IterConfig | None, exit_ratio: float | None = None) -> list:
     """Alternating maximization over an (M, n1, ..., nk) stack, one result per tensor.
 
     Every tensor starts from the leading left singular vectors of its
     unfoldings plus random unit factors, drawn once per mode and shared by the
     whole stack, and leaves the stack once its largest objective gain over
     the starts falls below cfg.tol.
+
+    With exit_ratio, a tensor also leaves once its best value over the
+    starts, divided by its Frobenius norm (a lower bound on its ratio), is
+    strictly above the smallest ratio of the tensors that already stopped by
+    cfg.tol above exit_ratio.  It returns that lower bound with
+    converged=False: its ratio is neither at or below exit_ratio nor the
+    smallest of the stack.
     """
     cfg = cfg or ALS_CONFIG
     if T.ndim < 3:
@@ -147,6 +154,8 @@ def _als(T: np.ndarray, cfg: IterConfig | None) -> list:
             )
 
     obj = np.abs(np.einsum(value_spec, T, *factors))
+    fros = np.linalg.norm(T.reshape(m, -1), axis=1)  # scaled as obj is
+    cutoff = math.inf
     for sweep in range(1, cfg.max_iters + 1):
         if not active.size:
             break
@@ -162,23 +171,31 @@ def _als(T: np.ndarray, cfg: IterConfig | None) -> list:
             raise RuntimeError("alternating maximization lost monotonicity")
         done = (norms - obj).max(axis=1) < cfg.tol
         obj = norms
+        finish(done, True, sweep)
+        if exit_ratio is not None:
+            ratios = obj.max(axis=1) / fros
+            cutoff = ratios[done & (ratios > exit_ratio)].min(initial=cutoff)
+            decided = ~done & (ratios > cutoff)
+            finish(decided, False, sweep)
+            done |= decided
         if done.any():
-            finish(done, True, sweep)
             keep = ~done
-            active, T, obj = active[keep], T[keep], obj[keep]
+            active, T, obj, fros = active[keep], T[keep], obj[keep], fros[keep]
             factors = [f[keep] for f in factors]
     finish(np.ones(active.size, dtype=bool), False, cfg.max_iters)
     return results
 
 
-def als_spectral_norm_batch(tensors: np.ndarray, cfg: IterConfig | None = None) -> list:
+def als_spectral_norm_batch(tensors: np.ndarray, cfg: IterConfig | None = None,
+                            exit_ratio: float | None = None) -> list:
     """Spectral norms of an (M, n1, ..., nk) stack by alternating maximization.
 
     Each tensor follows the rules of als_spectral_norm (its own HOSVD start,
     its own stopping sweep); the random starts are shared by the stack.
+    exit_ratio lets a tensor stop early with a lower bound, as _als says.
     Returns one ALSResult per tensor.
     """
-    return _als(np.asarray(tensors, dtype=float), cfg)
+    return _als(np.asarray(tensors, dtype=float), cfg, exit_ratio)
 
 
 def als_spectral_norm(T: np.ndarray, cfg: IterConfig | None = None) -> ALSResult:
@@ -313,30 +330,37 @@ def _scan_sq(X: np.ndarray) -> np.ndarray:
     return Q[..., 0] + Q[..., 1] + Q[..., 2] + Q[..., 3]
 
 
-def _scan_constraints(X: np.ndarray, sq: np.ndarray, margin) -> np.ndarray:
-    """The constraint values g(x) of (..., 4) parameters with |x|^2 = sq,
-    shape (..., 5); x is feasible where every one is <= 0.  margin
-    broadcasts against X.shape[:-1]."""
+def _scan_constraints(X: np.ndarray, sq: np.ndarray, margin) -> tuple:
+    """The constraint values g(x) of (..., 4) parameters with |x|^2 = sq:
+    the feasibility and rank-two constraints, each of shape X.shape[:-1],
+    and the box constraints of a, b and c as one (..., 3) array; x is
+    feasible where every one is <= 0.  margin broadcasts against
+    X.shape[:-1]."""
     abc = X[..., 0] * X[..., 1] * X[..., 2]
-    G = np.empty(X.shape[:-1] + (5,))
-    G[..., 0] = sq + 2.0 * abc - 1.0
-    G[..., 1] = margin - (X[..., 3] * X[..., 3] + 4.0 * abc)
-    np.subtract(np.abs(X[..., :3]), 1.0, out=G[..., 2:])
-    return G
+    return (sq + 2.0 * abc - 1.0, margin - (X[..., 3] * X[..., 3] + 4.0 * abc),
+            np.abs(X[..., :3]) - 1.0)
 
 
 def _scan_feasible(X: np.ndarray, margin) -> np.ndarray:
     """Mask of the points of X that satisfy every constraint."""
-    return (_scan_constraints(X, _scan_sq(X), margin) <= 0.0).all(axis=-1)
+    g0, g1, box = _scan_constraints(X, _scan_sq(X), margin)
+    return (g0 <= 0.0) & (g1 <= 0.0) & (box <= 0.0).all(axis=-1)
 
 
 def _scan_penalty(X: np.ndarray, mu: float, margin) -> np.ndarray:
-    """-(1 + |x|^2) + mu * sum(max(g, 0)^2): the polish objective; a NaN
-    constraint value makes it NaN."""
+    """-(1 + |x|^2) + mu * sum(max(g, 0)^2), the five terms added in
+    order: the polish objective; a NaN constraint value makes it NaN."""
     sq = _scan_sq(X)
-    T = np.maximum(_scan_constraints(X, sq, margin), 0.0)
-    T *= T
-    return -(1.0 + sq) + mu * (T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3] + T[..., 4])
+    g0, g1, box = (np.maximum(g, 0.0) for g in _scan_constraints(X, sq, margin))
+    box *= box
+    total = g0 * g0
+    total += g1 * g1
+    total += box[..., 0]
+    total += box[..., 1]
+    total += box[..., 2]
+    total *= mu
+    total -= 1.0 + sq
+    return total
 
 
 def _feasible_samples(cfg: SearchConfig, margins):

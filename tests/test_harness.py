@@ -183,7 +183,7 @@ def test_suites_pass_at_small_budget(name):
     assert res.cases > 0
     assert res.seconds > 0
     data = res.to_json_dict()
-    margins = {"margins"} if name in _MARGIN_BOUNDS else set()
+    margins = {"margins"} if name in _MARGIN_BOUNDS or name == "thm3-bound" else set()
     assert set(data) == {"suite", "cases", "failures", "passed", "seed"} | margins
 
 
@@ -531,35 +531,117 @@ def test_search_counterexample_d4():
         search_counterexample(2, SearchConfig(budget=10, seed=0))
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_screen_rejudges_rows_near_the_bound(d, monkeypatch):
-    # ((e1 + eps e2)^d - e1^d) / eps sits just above the bound at eps = 1e-3
-    # and 1e-4, within the screen's 1e-3, so both rows go to the full solver
-    # in one stacked call.  The random rank-two rows sit far above and keep
-    # their screen ratio.
+def _screen(monkeypatch, stack, bound, seed, starts=harness.SCREEN_STARTS, exit=True):
+    """harness._screen_ratios of stack with the results of each of its ALS
+    calls; exit=False runs its screen without the exit, to convergence."""
+    batch = harness.als_spectral_norm_batch
+    calls = []
+
+    def recorded(T, cfg, exit_ratio=None):
+        calls.append(batch(T, cfg, exit_ratio if exit else None))
+        return calls[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "als_spectral_norm_batch", recorded)
+        ratios = harness._screen_ratios(stack, bound, seed, starts)
+    return ratios, calls
+
+
+def _left_early(results) -> np.ndarray:
+    """Mask of the screen results that left before converging or the cap."""
+    return np.array([not res.converged and res.sweeps < 400 for res in results])
+
+
+def _near_bound_rows(d):
+    """((e1 + eps e2)^d - e1^d) / eps at eps = 1e-3 and 1e-4: just above the
+    bound, within the screen's 1e-3."""
     e1, e2 = np.eye(2)
 
     def power(x):
         return functools.reduce(np.multiply.outer, [x] * d)
 
-    near = [(power(e1 + eps * e2) - power(e1)) / eps for eps in (1e-3, 1e-4)]
-    stack = np.concatenate([harness._sample_rank_two_stack(rng_for(0, 9, d), 6, d), near])
+    return [(power(e1 + eps * e2) - power(e1)) / eps for eps in (1e-3, 1e-4)]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_screen_rejudges_rows_near_the_bound(d, monkeypatch):
+    # The two near-bound rows go to the full solver in one stacked call.  The
+    # random rank-two rows sit far above: each keeps its converged screen
+    # ratio or leaves the screen early with a lower bound on it.
+    stack = np.concatenate([harness._sample_rank_two_stack(rng_for(0, 9, d), 6, d),
+                            _near_bound_rows(d)])
     stack = stack[[0, 6, 1, 2, 3, 7, 4, 5]]
     bound = extremal_ratio(d)
-    batch = harness.als_spectral_norm_batch
-    sizes = []
-    monkeypatch.setattr(harness, "als_spectral_norm_batch",
-                        lambda T, cfg: sizes.append(len(T)) or batch(T, cfg))
-    ratios = harness._screen_ratios(stack, bound, 3)
-    assert sizes == [8, 2]
+    ratios, (screen, full) = _screen(monkeypatch, stack, bound, 3)
+    assert [len(screen), len(full)] == [8, 2]
     fros = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
-    screen = [res.value / fro for res, fro in
-              zip(batch(stack, IterConfig(starts=8, tol=1e-12, max_iters=400, seed=3)), fros)]
-    flagged = [r <= bound + 1e-3 for r in screen]
+    converged = [res.value / fro for res, fro in zip(
+        harness.als_spectral_norm_batch(stack, IterConfig(starts=8, tol=1e-12, max_iters=400, seed=3)),
+        fros)]
+    flagged = [r <= bound + 1e-3 for r in converged]
     assert flagged == [False, True, False, False, False, True, False, False]
-    for T, fro, r, f, got in zip(stack, fros, screen, flagged, ratios):
+    early = _left_early(screen)
+    assert early.any()
+    for T, fro, r, f, got, e in zip(stack, fros, converged, flagged, ratios, early):
         full = als_spectral_norm(T, dataclasses.replace(ALS_CONFIG, seed=3)).value / fro
-        assert got == (max(r, full) if f else r)
+        if f:
+            assert got == max(r, full)
+        elif e:  # a lower bound above the minimum
+            assert min(converged) < got <= r + 1e-12 * (1.0 + r)
+        else:
+            assert got == r
+
+
+def _sample_stack(d, m, seed):
+    stack = harness._sample_rank_two_stack(rng_for(seed, 6, d), m, d)
+    # Odd seeds add two rows just above the bound, which the re-judge revisits.
+    return np.concatenate([stack, _near_bound_rows(d)]) if seed % 2 else stack
+
+
+@pytest.mark.parametrize("d, m, starts", [(3, 300, 8), (4, 60, 8), (5, 40, 4)])
+def test_screen_exit_keeps_what_a_full_screen_decides(d, m, starts, monkeypatch):
+    # Against the same screen run to convergence: the same minimum and row,
+    # the same rows below the bound and re-judged, the same ratio for every
+    # row that did not leave early, and for every row that did a lower bound
+    # on its converged ratio, up to ALS's monotonicity slack.
+    bound = extremal_ratio(d)
+    for seed in range(10):
+        stack = _sample_stack(d, m, seed)
+        got, (screen, full) = _screen(monkeypatch, stack, bound, seed, starts)
+        ref, (ref_screen, ref_full) = _screen(monkeypatch, stack, bound, seed, starts, exit=False)
+        assert (got.min(), got.argmin()) == (ref.min(), ref.argmin()), seed
+        assert np.count_nonzero(got < bound - 1e-9) == np.count_nonzero(ref < bound - 1e-9)
+        fros = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
+        values = np.array([res.value for res in screen]) / fros
+        ref_values = np.array([res.value for res in ref_screen]) / fros
+        assert np.array_equal(values <= bound + 1e-3, ref_values <= bound + 1e-3)
+        assert len(full) == len(ref_full) == np.count_nonzero(ref_values <= bound + 1e-3)
+        early = _left_early(screen)
+        assert early.any()
+        assert np.array_equal(got[~early], ref[~early])
+        assert np.all(got[early] > max(bound + 1e-3, ref.min()))
+        assert np.all(got[early] <= ref[early] + 1e-12 * (1.0 + ref[early]))
+
+
+def test_screen_exit_saves_sweeps(monkeypatch):
+    # Tensor-sweeps of the screen at d = 3, 300 samples, seed 0: 10,348 when
+    # every tensor runs to convergence or the 400-sweep cap, 1,954 with the
+    # exit.  A change that loses the exit fails here.
+    stack = harness._sample_rank_two_stack(rng_for(0, 6, 3), 300, 3)
+    _, (screen, _) = _screen(monkeypatch, stack, extremal_ratio(3), 0)
+    assert sum(res.sweeps for res in screen) < 4_000
+
+
+def test_thm3_margin_is_the_full_screen_minimum(monkeypatch):
+    # The exit keeps the screen's minimum exact, so thm3-bound's margin and
+    # its witness are those of the screen run to convergence.
+    for seed in range(5):
+        res = run_suite("thm3-bound", seed, 300)
+        stack = harness._sample_rank_two_stack(rng_for(seed, 5), 300, 3)
+        stack = stack[harness.hyperdet_stack(stack) > 0.0]
+        ref, _ = _screen(monkeypatch, stack, 2.0 / 3.0, seed, exit=False)
+        i = int(np.argmin(ref))
+        assert res.margins == [{"d": 3, "margin": ref[i] - 2.0 / 3.0, "ratio": ref[i],
+                                "entries": stack[i].ravel().tolist()}]
 
 
 # ---------------------------------------------------------------------------
